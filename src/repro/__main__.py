@@ -128,11 +128,7 @@ def _runtime_from_args(
         faults=faults,
         resume_from=args.resume,
         trace_dir=getattr(args, "trace", None),
-        trace_format=(
-            "shared" if getattr(args, "fabric", False)
-            else "columnar" if getattr(args, "columnar", False)
-            else "object"
-        ),
+        fabric=getattr(args, "fabric", False),
     )
 
 
@@ -405,37 +401,24 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.target == "sweep":
         return _cmd_bench_sweep(args)
     instructions = args.instructions or 24_000
-    if args.columnar and args.object:
-        engines = ("object", "columnar")
-    elif args.columnar:
-        engines = ("columnar",)
-    elif args.object:
-        engines = ("object",)
-    else:
-        engines = bench.DEFAULT_ENGINES
     print(f"bench throughput — {args.workload} x {instructions} "
-          f"instructions, best of {args.repeats}, "
-          f"engines: {'+'.join(engines)}", file=sys.stderr)
+          f"instructions, best of {args.repeats}", file=sys.stderr)
     report = bench.run_throughput(
         workload=args.workload,
         instructions=instructions,
         schemes=args.schemes,
         repeats=args.repeats,
-        engines=engines,
         progress=lambda sid, entry: print(
-            f"  {sid:<21} {entry['inst_per_s']:>9,} inst/s "
+            f"  {sid:<11} {entry['inst_per_s']:>9,} inst/s "
             f"({entry['wall_s']:.2f}s)", file=sys.stderr),
     )
-    rows = []
-    for engine in engines:
-        section = "schemes" if engine == "object" else "columnar_schemes"
-        for sid, entry in report.get(section, {}).items():
-            rows.append([
-                engine, sid, f"{entry['inst_per_s']:,}",
-                f"{entry['inst_per_s_mean']:,}", f"{entry['wall_s']:.2f}",
-            ])
+    rows = [
+        [sid, f"{entry['inst_per_s']:,}", f"{entry['inst_per_s_mean']:,}",
+         f"{entry['wall_s']:.2f}"]
+        for sid, entry in report[bench.THROUGHPUT_SECTION].items()
+    ]
     print(format_table(
-        ["engine", "scheme", "inst/s (best)", "inst/s (mean)", "wall s"], rows
+        ["scheme", "inst/s (best)", "inst/s (mean)", "wall s"], rows
     ))
     print(f"peak RSS {report['peak_rss_kib']} KiB, "
           f"total wall {report['wall_s']:.1f}s")
@@ -458,8 +441,7 @@ def _cmd_bench_sweep(args: argparse.Namespace) -> int:
             instructions=instructions,
             jobs=args.jobs,
             progress=lambda mode, entry: print(
-                f"  {mode:<11} ({entry['engine']:<7} engine) "
-                f"{entry['wall_s']:.2f}s  "
+                f"  {mode:<11} {entry['wall_s']:.2f}s  "
                 f"{entry['inst_per_s']:>9,} inst/s", file=sys.stderr),
         )
     except RuntimeError as exc:
@@ -467,11 +449,10 @@ def _cmd_bench_sweep(args: argparse.Namespace) -> int:
         return 1
     sweep = report["sweep"]
     rows = [
-        [mode, sweep[mode]["engine"], f"{sweep[mode]['wall_s']:.2f}",
-         f"{sweep[mode]['inst_per_s']:,}"]
+        [mode, f"{sweep[mode]['wall_s']:.2f}", f"{sweep[mode]['inst_per_s']:,}"]
         for mode in ("fabric_off", "fabric_on")
     ]
-    print(format_table(["mode", "engine", "wall s", "inst/s"], rows))
+    print(format_table(["mode", "wall s", "inst/s"], rows))
     print(f"speedup {sweep['speedup']:.2f}x, identical results: "
           f"{sweep['identical_results']}")
     return _bench_report_checks(args, report)
@@ -775,12 +756,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace", default=None, metavar="DIR",
                      help="run under the observability stack; write Chrome "
                           "traces (and flight dumps on failure) into DIR")
-    run.add_argument("--columnar", action="store_true",
-                     help="simulate from the struct-of-arrays trace engine "
-                          "(bit-identical results, bounded memory)")
     run.add_argument("--fabric", action="store_true",
                      help="publish each trace once into shared memory and "
-                          "attach it from every worker (implies columnar)")
+                          "attach it from every worker")
     _add_runtime_flags(run)
 
     fig = sub.add_parser("figure", help="regenerate one figure or table")
@@ -806,12 +784,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--trace", default=None, metavar="DIR",
                        help="run under the observability stack; write Chrome "
                             "traces (and flight dumps on failure) into DIR")
-    sweep.add_argument("--columnar", action="store_true",
-                       help="simulate from the struct-of-arrays trace engine "
-                            "(bit-identical results, bounded memory)")
     sweep.add_argument("--fabric", action="store_true",
                        help="publish each trace once into shared memory and "
-                            "attach it from every worker (implies columnar)")
+                            "attach it from every worker")
     _add_runtime_flags(sweep)
 
     chaos = sub.add_parser(
@@ -865,12 +840,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scheme ids to time (default: all built-ins)")
     bench.add_argument("--repeats", type=int, default=3,
                        help="simulate() runs per scheme; best is reported")
-    bench.add_argument("--columnar", action="store_true",
-                       help="time the columnar (struct-of-arrays) engine "
-                            "(default: both engines)")
-    bench.add_argument("--object", action="store_true",
-                       help="time the object (Instruction-list) engine "
-                            "(default: both engines)")
     bench.add_argument("--output", default=None, metavar="FILE",
                        help="write the JSON report (e.g. BENCH_pr10.json)")
     bench.add_argument("--check", default=None, metavar="FILE",

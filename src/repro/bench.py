@@ -4,17 +4,16 @@ Two benches, one report file:
 
 * ``bench throughput`` measures how many *simulated* instructions per
   second ``simulate()`` sustains for each registered scheme on one
-  workload trace — through both trace engines (the object path over
-  ``Instruction`` lists and the columnar struct-of-arrays path).
+  workload trace.
 * ``bench sweep`` measures end-to-end multi-scheme grid wall-clock
   through the :class:`~repro.runtime.Runtime`, fabric off (stock
-  per-cell dispatch) versus fabric on (``trace_format="shared"``:
+  per-cell dispatch) versus fabric on (``Runtime(fabric=True)``:
   generate each trace once, publish to shared memory, dispatch cells
   grouped by trace) — asserting along the way that both modes produce
   bit-identical per-cell results.
 
-Numbers land in a ``BENCH_*.json`` report (inst/s per scheme and
-engine, sweep wall-clock per fabric mode, wall time, peak RSS of this
+Numbers land in a ``BENCH_*.json`` report (inst/s per scheme, sweep
+wall-clock per fabric mode, wall time, peak RSS of this
 process and its workers) so the simulator's own performance trajectory
 is tracked in the repository alongside its accuracy.
 
@@ -29,8 +28,8 @@ runners measures well under that margin at ``--repeats 5``.
 
 Simulated *outcomes* are deliberately out of scope here: bit-identical
 ``SimResult``\\ s are locked by ``tests/test_golden_simresults.py``
-(which exercises all engines, shared included), so this module only
-has to care about speed.
+(which exercises every trace input, fabric-attached included), so this
+module only has to care about speed.
 """
 
 from __future__ import annotations
@@ -53,16 +52,19 @@ DEFAULT_MAX_REGRESSION = 0.20
 # Every registered scheme id, cheapest first; ``tournament`` runs two
 # sub-predictors per load and dominates the wall time.
 DEFAULT_SCHEMES = ("baseline", "dlvp", "cap", "vtage", "dvtage", "tournament")
-DEFAULT_ENGINES = ("object", "columnar")
 DEFAULT_SWEEP_WORKLOADS = ("gzip", "perlbmk", "nat")
 # Large enough that per-process cold-start noise (allocator, bytecode
 # warm-up) stops dominating the per-cell numbers; the measured fabric
 # speedup climbs with instruction count and is near its asymptote here.
 DEFAULT_SWEEP_INSTRUCTIONS = 40_000
 
-# report section per engine; "object" keeps the historical "schemes"
-# key so older reports stay comparable.
+# Throughput report sections by the engine that filled them.  Reports
+# up to BENCH_pr10.json carry both; the one engine left (the former
+# "columnar" loop) writes THROUGHPUT_SECTION, so fresh reports gate
+# against the committed columnar numbers and the object section goes
+# down check_regression's warn-and-skip path.
 _ENGINE_SECTIONS = {"object": "schemes", "columnar": "columnar_schemes"}
+THROUGHPUT_SECTION = _ENGINE_SECTIONS["columnar"]
 
 
 def peak_rss_kib() -> int:
@@ -95,12 +97,12 @@ def child_peak_rss_kib() -> int:
 def measure_scheme(trace, scheme_id: str, repeats: int = DEFAULT_REPEATS) -> dict:
     """Time ``simulate(trace, scheme)`` ``repeats`` times; report best.
 
-    ``trace`` may be a :class:`~repro.trace.Trace` or a
-    :class:`~repro.trace.ColumnarTrace` — ``simulate()`` dispatches on
-    the type, so the same timing harness measures either engine.  A
-    fresh scheme instance is built per repeat so no predictor state
-    leaks between rounds; best-of-N is reported as the headline inst/s
-    because scheduler noise only ever slows a run down.
+    ``trace`` may be a :class:`~repro.trace.Trace` (converted on every
+    call, so the conversion is timed too) or a
+    :class:`~repro.trace.ColumnarTrace`.  A fresh scheme instance is
+    built per repeat so no predictor state leaks between rounds;
+    best-of-N is reported as the headline inst/s because scheduler noise
+    only ever slows a run down.
     """
     from repro.pipeline.core_model import simulate
     from repro.runtime.registry import get_scheme
@@ -129,48 +131,35 @@ def run_throughput(
     instructions: int = DEFAULT_INSTRUCTIONS,
     schemes: Sequence[str] = DEFAULT_SCHEMES,
     repeats: int = DEFAULT_REPEATS,
-    engines: Sequence[str] = DEFAULT_ENGINES,
     progress=None,
 ) -> dict:
     """Run the full throughput bench; returns the JSON-safe report.
 
-    ``engines`` selects which trace representations to time: the
-    object path fills the report's ``"schemes"`` section (its
-    historical home), the columnar path ``"columnar_schemes"``.  The
-    trace is generated once and converted, so both engines measure the
-    exact same instruction stream.
+    Per-scheme numbers land in the report's ``THROUGHPUT_SECTION``.
+    The trace is generated once as a :class:`~repro.trace.ColumnarTrace`
+    (what the runtime hands ``simulate()``), so every scheme measures
+    the exact same instruction stream.
     """
-    from repro.trace import ColumnarTrace
-    from repro.workloads import build_workload
+    from repro.workloads import build_workload_columnar
 
-    unknown = [e for e in engines if e not in _ENGINE_SECTIONS]
-    if unknown:
-        raise ValueError(f"unknown engine(s): {unknown}")
     t0 = time.perf_counter()
-    trace = build_workload(workload, instructions)
+    trace = build_workload_columnar(workload, instructions)
     trace_s = time.perf_counter() - t0
-    traces = {"object": trace}
-    if "columnar" in engines:
-        traces["columnar"] = ColumnarTrace.from_trace(trace)
     report = {
         "bench": "throughput",
         "workload": workload,
         "instructions": instructions,
         "trace_length": len(trace),
         "trace_build_s": round(trace_s, 3),
-        "engines": list(engines),
         "python": platform.python_version(),
         "platform": platform.platform(),
     }
-    for engine in engines:
-        results = {}
-        for scheme_id in schemes:
-            results[scheme_id] = measure_scheme(
-                traces[engine], scheme_id, repeats
-            )
-            if progress is not None:
-                progress(f"{engine}/{scheme_id}", results[scheme_id])
-        report[_ENGINE_SECTIONS[engine]] = results
+    results = {}
+    for scheme_id in schemes:
+        results[scheme_id] = measure_scheme(trace, scheme_id, repeats)
+        if progress is not None:
+            progress(scheme_id, results[scheme_id])
+    report[THROUGHPUT_SECTION] = results
     report["wall_s"] = round(time.perf_counter() - t0, 3)
     report["peak_rss_kib"] = peak_rss_kib()
     report["children_peak_rss_kib"] = child_peak_rss_kib()
@@ -188,11 +177,12 @@ def run_sweep(
 
     Runs the same (scheme x workload) grid twice through
     :class:`~repro.runtime.Runtime`, each against a fresh temporary
-    cache so neither mode inherits the other's traces or results:
+    cache so neither mode inherits the other's traces or results.  The
+    two modes run the same engine and differ only by the fabric:
 
-    * ``fabric_off`` — stock defaults: object-trace engine, one worker
-      dispatch per cell, every cell paying its own trace acquisition.
-    * ``fabric_on`` — ``trace_format="shared"``: each distinct trace is
+    * ``fabric_off`` — stock defaults: one worker dispatch per cell,
+      every cell paying its own trace acquisition.
+    * ``fabric_on`` — ``Runtime(fabric=True)``: each distinct trace is
       generated once in the parent, published to shared memory, and the
       grid is dispatched in trace groups.
 
@@ -213,13 +203,11 @@ def run_sweep(
     t0 = time.perf_counter()
     modes: dict[str, dict] = {}
     results: dict[str, dict] = {}
-    for mode, trace_format in (("fabric_off", "object"),
-                               ("fabric_on", "shared")):
+    for mode, fabric in (("fabric_off", False), ("fabric_on", True)):
         with tempfile.TemporaryDirectory(
             prefix=f"repro-sweep-{mode}-"
         ) as cache_dir:
-            runtime = Runtime(jobs=jobs, cache_dir=cache_dir,
-                              trace_format=trace_format)
+            runtime = Runtime(jobs=jobs, cache_dir=cache_dir, fabric=fabric)
             start = time.perf_counter()
             grid = runtime.run_grid(schemes, workloads, instructions)
             wall = time.perf_counter() - start
@@ -236,7 +224,6 @@ def run_sweep(
             for workload in workloads
         }
         modes[mode] = {
-            "engine": trace_format,
             "wall_s": round(wall, 3),
             "inst_per_s": round(cells * instructions / wall),
         }

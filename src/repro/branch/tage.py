@@ -89,7 +89,7 @@ class Tage:
         self._key_pc = -1
         self._key_version = -1
         self._key_cache: list[tuple[int, int]] = []
-        # Optional precomputed key batch (columnar runs; see
+        # Optional precomputed key batch (simulate() runs; see
         # repro.pipeline.batch.TageKeyBatch) and its chunk cursor.
         self._kb = None
         self._kb_keys: list = []
@@ -270,7 +270,7 @@ class Tage:
     def make_update_fused(self, unit_stats=None):
         """Build a closure fusing :meth:`update` + :meth:`update_history`.
 
-        For the columnar hot loop: one call per conditional branch
+        For the simulate() hot loop: one call per conditional branch
         replaces the update/_lookup/update_history/push chain, with the
         tables, counters and history captured as closure cells.  Handles
         both batched-key and live-fold modes, and trains identically to

@@ -1,9 +1,10 @@
 """Front-end branch unit combining TAGE, ITTAGE and the RAS.
 
 The timing model hands every control instruction to
-:meth:`BranchUnit.resolve`, which predicts it, trains the predictors,
-and reports whether the front-end would have fetched down the wrong
-path (a flush-and-refill event).
+:meth:`BranchUnit.resolve_fields` (conditionals through the fused
+:meth:`BranchUnit.make_resolve_conditional` closure), which predicts
+it, trains the predictors, and reports whether the front-end would have
+fetched down the wrong path (a flush-and-refill event).
 """
 
 from __future__ import annotations
@@ -76,43 +77,7 @@ class BranchUnit:
         Returns True if the branch was mispredicted (direction or
         target), i.e. the pipeline must flush and refetch.
         """
-        if inst.op is OpClass.BRANCH:
-            self.stats.conditional += 1
-            assert inst.taken is not None
-            mispredicted = self.tage.update(inst.pc, inst.taken)
-            self.tage.update_history(inst.taken)
-            if mispredicted:
-                self.stats.conditional_mispredicted += 1
-            return mispredicted
-
-        if inst.op is OpClass.JUMP:
-            self.stats.jumps += 1
-            return False
-
-        if inst.op is OpClass.CALL:
-            self.stats.calls += 1
-            self.ras.push(inst.pc + INSTRUCTION_BYTES)
-            self.tage.update_history(True)
-            return False
-
-        if inst.op is OpClass.RETURN:
-            self.stats.returns += 1
-            predicted = self.ras.pop()
-            mispredicted = predicted != inst.target
-            if mispredicted:
-                self.stats.returns_mispredicted += 1
-            return mispredicted
-
-        if inst.op is OpClass.INDIRECT:
-            self.stats.indirect += 1
-            assert inst.target is not None
-            mispredicted = self.ittage.update(inst.pc, inst.target)
-            self.ittage.update_history(inst.target)
-            if mispredicted:
-                self.stats.indirect_mispredicted += 1
-            return mispredicted
-
-        raise ValueError(f"not a control instruction: {inst.op!r}")
+        return self.resolve_fields(inst.op, inst.pc, inst.taken, inst.target)
 
     def make_resolve_conditional(self):
         """Fused BRANCH arm of :meth:`resolve_fields` for the hot loop.
@@ -127,13 +92,11 @@ class BranchUnit:
     def resolve_fields(
         self, op: int, pc: int, taken: bool | None, target: int | None
     ) -> bool:
-        """Scalar-field twin of :meth:`resolve` for the columnar loop.
+        """Predict + train on one control instruction, given as fields.
 
-        ``op`` is the plain integer opcode class — the columnar
-        simulate() path resolves branches straight from the trace
-        columns without materializing an :class:`Instruction`.  Same
-        predictor updates, same return value, pinned together by the
-        golden-equivalence suite.
+        ``op`` is the integer opcode class (an :class:`OpClass` works
+        too): simulate() resolves branches straight from the trace
+        columns without materializing an :class:`Instruction`.
         """
         if op == _BRANCH:
             self.stats.conditional += 1

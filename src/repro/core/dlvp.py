@@ -32,12 +32,13 @@ _PROBE_BYTES = 32      # captures LDM footprints up to 4 x 8B / VLD 2 x 16B
 _FGA_MASK = ~(FETCH_GROUP_BYTES - 1)      # fetch_group_address(), inlined
 _LOAD_INT = int(OpClass.LOAD)
 
-# Flat-protocol handle for an LSCD-blocked load.  Identity-checked in
-# flat_execute_train, so one shared tuple serves every blocked load
-# (the flat twin of DlvpFetchHandle.lscd_blocked).  The -1 fields keep
-# it distinct from every real handle: CPython merges equal constant
-# tuples across a module, so a (0, 0, None) literal elsewhere would BE
-# this object and turn ordinary unpredicted loads into blocked ones.
+# Flat-protocol handle for an LSCD-blocked load.  Identity-checked by
+# the make_flat_execute closure, so one shared tuple serves every
+# blocked load (the flat twin of DlvpFetchHandle.lscd_blocked).  The -1
+# fields keep it distinct from every real handle: CPython merges equal
+# constant tuples across a module, so a (0, 0, None) literal elsewhere
+# would BE this object and turn ordinary unpredicted loads into blocked
+# ones.
 _FLAT_BLOCKED = (-1, -1, None)
 
 
@@ -87,7 +88,7 @@ class DlvpFetchHandle:
     """Per-load state carried from fetch to execute.
 
     A ``__slots__`` plain class, not a dataclass: one is allocated per
-    predicted load on the simulate() hot path.
+    load that reaches :meth:`DlvpEngine.on_load_fetch`.
     """
 
     __slots__ = (
@@ -167,17 +168,15 @@ class DlvpEngine:
         self._tracer = None
         # Resolved once: the isinstance check sat on the per-load path.
         self._is_pap = isinstance(self.predictor, PapPredictor)
-        # Fetch-side hot-path aliases consumed by fetch_probe_predict().
+        # Fetch-side hot-path aliases captured by make_flat_fetch().
         self._way_pred_enabled = self.config.way_prediction
         self._prefetch_on_miss = self.config.prefetch_on_miss
         self._lscd_pcs = self.lscd._pcs
         if self._is_pap:
             p = self.predictor
             self._path_push = p.history._history.push
-            self._compute_key = p.compute_key
-            self._apt_predict = p.predict
             # APT internals for the inlined key/predict in
-            # fetch_probe_predict (created once, mutated in place).
+            # make_flat_fetch (created once, mutated in place).
             self._apt_idx_fold = p._idx_fold
             self._apt_tag_fold = p._tag_fold
             self._apt_index_bits = p._index_bits
@@ -189,67 +188,32 @@ class DlvpEngine:
             self._apt_use_way = p._use_way
         else:
             self._path_push = None
-            self._compute_key = None
-            self._apt_predict = None
-        # Optional per-run batched APT keys (columnar loop only); see
+        # Optional per-run batched APT keys (flat protocol only); see
         # bind_key_batch().
         self._kb = None
-        self._kb_pos = 0
-        self._kb_start = 0
-        self._kb_end = 0
-        self._kb_idx0: list[int] = []
-        self._kb_tag0: list[int] = []
-        self._kb_idx1: list[int] = []
-        self._kb_tag1: list[int] = []
-
-    @property
-    def _uses_pap(self) -> bool:
-        return self._is_pap
 
     def bind_key_batch(self, batch) -> None:
         """Attach (or detach, with None) a per-run APT key batch.
 
         ``batch`` is a :class:`repro.pipeline.batch.PapKeyBatch` built
         over the exact trace this engine is about to consume.  With a
-        batch bound, the flat fetch path reads precomputed (index, tag)
-        keys by load ordinal instead of hashing the live folded history —
-        and therefore skips the live history pushes entirely; the batch
-        already accounts for every dynamic load's path bit, and nothing
-        else reads the load-path history at run time.  Blocked and
-        beyond-slot-limit loads advance the cursor without reading keys.
+        batch bound, the next :meth:`make_flat_fetch` closure reads
+        precomputed (index, tag) keys by load ordinal instead of hashing
+        the live folded history — and therefore skips the live history
+        pushes entirely; the batch already accounts for every dynamic
+        load's path bit, and nothing else reads the load-path history at
+        run time.  Blocked and beyond-slot-limit loads advance the
+        cursor without reading keys.
         """
         self._kb = batch
-        self._kb_pos = self._kb_start = self._kb_end = 0
-        self._kb_idx0 = []
-        self._kb_tag0 = []
-        self._kb_idx1 = []
-        self._kb_tag1 = []
-
-    def _kb_refill(self, pos: int) -> None:
-        """Pull batch chunks until the cursor position is in range.
-
-        A single next_chunk() is not always enough: blocked and
-        unpredicted loads advance the cursor without touching the key
-        lists, so ``pos`` may have moved past a whole chunk of loads
-        whose keys were never read.
-        """
-        while pos >= self._kb_end:
-            start, idx0, tag0, idx1, tag1 = self._kb.next_chunk()
-            self._kb_start = start
-            self._kb_end = start + len(idx0)
-            self._kb_idx0 = idx0
-            self._kb_tag0 = tag0
-            self._kb_idx1 = idx1
-            self._kb_tag1 = tag1
 
     def attach_tracer(self, tracer) -> None:
         """Opt into per-event instrumentation (see :mod:`repro.observe`).
 
-        With a tracer attached, the fetch/execute fast paths dispatch to
-        the reference implementations (:meth:`on_load_fetch`,
-        :meth:`probe`, :meth:`predicted_values`, :meth:`on_load_execute`)
-        so every component hook fires; with none attached (the default)
-        the inlined fast paths run with zero added work.
+        Traced runs drive the reference methods (:meth:`on_load_fetch`,
+        :meth:`probe`, :meth:`predicted_values`, :meth:`on_load_execute`),
+        so every component hook fires; untraced runs use the fused
+        closures, which carry no hook sites at all.
         """
         self._tracer = tracer
         self.paq.attach_tracer(tracer)
@@ -364,331 +328,21 @@ class DlvpEngine:
                 way_predicted and not hit and actual_way is not None,
             )
 
-    def fetch_probe_predict(
-        self, inst: Instruction, fetch_cycle: int, slot: int, probe_cycle: int
-    ) -> tuple[DlvpFetchHandle, tuple[int, ...] | None]:
-        """Fetch-side fast path: on_load_fetch + probe + predicted_values.
-
-        The fetch, PAQ push/service, probe and value-extraction bodies
-        are all inlined here (one method dispatch instead of several per
-        load on the simulate() hot path); behaviourally identical to
-        calling :meth:`on_load_fetch`, :meth:`probe` and
-        :meth:`predicted_values` in sequence — those remain the
-        reference implementations.
-        """
-        if self._tracer is not None:
-            # Traced runs take the reference path so every component
-            # hook (LSCD, PAQ, probe) fires; the `is None` check is the
-            # only cost the disabled case pays.
-            handle = self.on_load_fetch(inst, fetch_cycle, slot)
-            self.probe(handle, probe_cycle)
-            return handle, self.predicted_values(handle, inst)
-        pc = inst.pc
-        handle = DlvpFetchHandle(pc)
-        is_pap = self._is_pap
-
-        if self._lscd_enabled and pc in self._lscd_pcs:    # lscd.blocks(), inlined
-            self.lscd.filtered += 1
-            handle.lscd_blocked = True
-            if is_pap:
-                self._path_push((pc >> 2) & 1)    # path_history_bit(pc)
-            return handle, None
-
-        if is_pap:
-            # PapPredictor.compute_key + .predict, inlined.
-            key_pc = (pc & _FGA_MASK) | (slot << 2)
-            word = key_pc >> 2
-            index_bits = self._apt_index_bits
-            index = (
-                word ^ (word >> index_bits) ^ (word >> (2 * index_bits))
-                ^ self._apt_idx_fold.value
-            ) & self._apt_index_mask
-            tag = (
-                word ^ (key_pc >> self._apt_tag_shift) ^ self._apt_tag_fold.value
-            ) & self._apt_tag_mask
-            handle.apt_index = index
-            handle.apt_tag = tag
-            entry = self._apt_entries[index]
-            if entry is None or entry.tag != tag or entry.confidence < self._apt_conf_max:
-                prediction = None
-            else:
-                prediction = AddressPrediction(
-                    entry.addr,
-                    _SIZE_FROM_CODE[entry.size_code],
-                    entry.way if self._apt_use_way else None,
-                    index,
-                    tag,
-                )
-            handle.prediction = prediction
-            self._path_push((pc >> 2) & 1)        # path_history_bit(pc)
-        else:
-            prediction = handle.prediction = self.predictor.predict_pc(pc)
-
-        if prediction is None:
-            return handle, None
-
-        # PAQ push (inlined PredictedAddressQueue.push).
-        paq = self.paq
-        queue = paq._queue
-        if len(queue) >= paq.capacity:
-            paq.rejected_full += 1
-            handle.prediction = None
-            return handle, None
-        queue.append(
-            PaqEntry(
-                prediction.addr, prediction.size, prediction.way, fetch_cycle,
-                bypass=not queue,
-            )
-        )
-        paq.enqueued += 1
-
-        # PAQ drain (inlined PredictedAddressQueue.service).
-        drop_cycles = paq.drop_cycles
-        entry = None
-        while queue:
-            candidate = queue.popleft()
-            if probe_cycle - candidate.allocated_cycle > drop_cycles:
-                paq.dropped += 1
-                continue
-            paq.serviced += 1
-            if candidate.bypass:
-                paq.bypassed += 1
-            entry = candidate
-            break
-        if entry is None:
-            handle.dropped = True
-            handle.prediction = None
-            return handle, None
-        handle.probed = True
-        stats = self.stats
-        stats.probes += 1
-        way_predicted = self._way_pred_enabled and entry.way is not None
-        if way_predicted:
-            stats.probes_way_predicted += 1
-        hit, actual_way = self.hierarchy.probe_l1(entry.addr)
-        if hit and way_predicted and entry.way != actual_way:
-            stats.way_mispredictions += 1
-            hit = False
-        if hit:
-            stats.probe_hits += 1
-            handle.probe_hit = True
-            raw = handle.raw_probe_value = self.image.read(entry.addr, _PROBE_BYTES)
-            size = inst.mem_size
-            if len(inst.dests) == 1 and size <= _PROBE_BYTES:
-                return handle, (raw & ((1 << (8 * size)) - 1),)
-            return handle, self.predicted_values(handle, inst)
-        stats.probe_misses += 1
-        if self._prefetch_on_miss:
-            self.hierarchy.prefetch_fill(entry.addr)
-            stats.prefetches += 1
-        return handle, None
-
-    # -- flat fetch/execute (columnar simulate() path) ----------------------
-    #
-    # Scalar twins of fetch_probe_predict / execute_train /
-    # on_load_fetch_unpredicted: no Instruction view, no DlvpFetchHandle
-    # allocation — the handle is a plain ``(apt_index, apt_tag,
-    # predicted_addr)`` tuple (``predicted_addr`` None when the load was
-    # not address-predicted or its PAQ entry was rejected/dropped), or
-    # the shared _FLAT_BLOCKED sentinel.  The columnar loop never runs
-    # with a tracer attached, so these carry no reference-path dispatch.
-    # Outcomes are pinned to the object path by the golden suite.
-
-    def flat_load_unpredicted(self, pc: int) -> None:
-        """Flat twin of :meth:`on_load_fetch_unpredicted`."""
-        self.stats.loads_seen += 1
-        if self._is_pap:
-            if self._kb is not None:
-                self._kb_pos += 1
-            else:
-                self._path_push((pc >> 2) & 1)    # path_history_bit(pc)
-
-    def flat_fetch_probe_predict(
-        self,
-        pc: int,
-        mem_size: int,
-        ndests: int,
-        fetch_cycle: int,
-        slot: int,
-        probe_cycle: int,
-    ) -> tuple[tuple, tuple[int, ...] | None]:
-        """Flat twin of :meth:`fetch_probe_predict`; returns
-        ``(handle_tuple, predicted_values | None)``."""
-        if self._lscd_enabled and pc in self._lscd_pcs:    # lscd.blocks(), inlined
-            self.lscd.filtered += 1
-            if self._is_pap:
-                if self._kb is not None:
-                    self._kb_pos += 1
-                else:
-                    self._path_push((pc >> 2) & 1)
-            return _FLAT_BLOCKED, None
-
-        if self._is_pap:
-            if self._kb is not None:
-                pos = self._kb_pos
-                self._kb_pos = pos + 1
-                if pos >= self._kb_end:
-                    self._kb_refill(pos)
-                j = pos - self._kb_start
-                if slot:
-                    index = self._kb_idx1[j]
-                    tag = self._kb_tag1[j]
-                else:
-                    index = self._kb_idx0[j]
-                    tag = self._kb_tag0[j]
-            else:
-                # PapPredictor.compute_key, inlined (live folded history).
-                key_pc = (pc & _FGA_MASK) | (slot << 2)
-                word = key_pc >> 2
-                index_bits = self._apt_index_bits
-                index = (
-                    word ^ (word >> index_bits) ^ (word >> (2 * index_bits))
-                    ^ self._apt_idx_fold.value
-                ) & self._apt_index_mask
-                tag = (
-                    word ^ (key_pc >> self._apt_tag_shift) ^ self._apt_tag_fold.value
-                ) & self._apt_tag_mask
-                self._path_push((pc >> 2) & 1)    # path_history_bit(pc)
-            entry = self._apt_entries[index]
-            if entry is None or entry.tag != tag or entry.confidence < self._apt_conf_max:
-                return (index, tag, None), None
-            pred_addr = entry.addr
-            pred_size = _SIZE_FROM_CODE[entry.size_code]
-            pred_way = entry.way if self._apt_use_way else None
-        else:
-            index = tag = 0
-            prediction = self.predictor.predict_pc(pc)
-            if prediction is None:
-                return (0, 0, None), None
-            pred_addr = prediction.addr
-            pred_size = prediction.size
-            pred_way = prediction.way
-
-        # PAQ push (inlined PredictedAddressQueue.push).
-        paq = self.paq
-        queue = paq._queue
-        if len(queue) >= paq.capacity:
-            paq.rejected_full += 1
-            return (index, tag, None), None
-        queue.append(
-            PaqEntry(pred_addr, pred_size, pred_way, fetch_cycle, bypass=not queue)
-        )
-        paq.enqueued += 1
-
-        # PAQ drain (inlined PredictedAddressQueue.service).
-        drop_cycles = paq.drop_cycles
-        entry = None
-        while queue:
-            candidate = queue.popleft()
-            if probe_cycle - candidate.allocated_cycle > drop_cycles:
-                paq.dropped += 1
-                continue
-            paq.serviced += 1
-            if candidate.bypass:
-                paq.bypassed += 1
-            entry = candidate
-            break
-        if entry is None:
-            return (index, tag, None), None
-
-        handle = (index, tag, pred_addr)
-        stats = self.stats
-        stats.probes += 1
-        way_predicted = self._way_pred_enabled and entry.way is not None
-        if way_predicted:
-            stats.probes_way_predicted += 1
-        hit, actual_way = self.hierarchy.probe_l1(entry.addr)
-        if hit and way_predicted and entry.way != actual_way:
-            stats.way_mispredictions += 1
-            hit = False
-        if hit:
-            stats.probe_hits += 1
-            if ndests == 1:
-                if mem_size > _PROBE_BYTES:
-                    return handle, None
-                # Word-granular footprints read exactly what the load
-                # covers: read() is pure, so reading mem_size bytes is
-                # bit-identical to masking a _PROBE_BYTES read down —
-                # and hits the single-word fast path for 4-byte loads.
-                if mem_size and not mem_size & 3:
-                    return handle, (self.image.read(entry.addr, mem_size),)
-                raw = self.image.read(entry.addr, _PROBE_BYTES)
-                return handle, (raw & ((1 << (8 * mem_size)) - 1),)
-            raw = self.image.read(entry.addr, _PROBE_BYTES)
-            # predicted_values(), inlined for the multi-destination case.
-            if mem_size * (ndests or 1) > _PROBE_BYTES:
-                return handle, None
-            mask = (1 << (8 * mem_size)) - 1
-            return handle, tuple(
-                (raw >> (8 * mem_size * k)) & mask for k in range(ndests)
-            )
-        stats.probe_misses += 1
-        if self._prefetch_on_miss:
-            self.hierarchy.prefetch_fill(entry.addr)
-            stats.prefetches += 1
-        return handle, None
-
-    def flat_execute_train(
-        self,
-        handle: tuple,
-        pc: int,
-        mem_addr: int,
-        mem_size: int,
-        values: tuple[int, ...],
-        actual_way: int | None,
-        value_predicted: bool,
-        predicted: tuple[int, ...] | None,
-    ) -> tuple[bool, bool]:
-        """Flat twin of :meth:`execute_train`."""
-        stats = self.stats
-        stats.loads_seen += 1
-
-        if handle is _FLAT_BLOCKED:
-            stats.lscd_blocked += 1
-            return False, False
-
-        pred_addr = handle[2]
-        addr_correct = pred_addr is not None and pred_addr == mem_addr
-        if pred_addr is not None:
-            stats.address_predictions += 1
-            if addr_correct:
-                stats.address_correct += 1
-
-        if self._is_pap:
-            self.predictor.train(handle[0], handle[1], mem_addr, mem_size, actual_way)
-        else:
-            self.predictor.train(pc, mem_addr)
-
-        value_correct = False
-        if value_predicted:
-            mask = (1 << (8 * mem_size)) - 1
-            if len(values) == 1:
-                value_correct = predicted == (values[0] & mask,)
-            else:
-                value_correct = predicted == tuple(v & mask for v in values)
-            stats.value_predictions += 1
-            if value_correct:
-                stats.value_correct += 1
-            elif addr_correct:
-                stats.inflight_conflicts += 1
-                if self._lscd_enabled:
-                    self.lscd.insert(pc)
-
-        return value_predicted, value_correct
-
-    # -- fused columnar fast path ----------------------------------------
+    # -- fused flat-protocol fast path ----------------------------------
 
     def make_flat_fetch(self):
-        """Build the fused per-load fetch closure for the columnar loop.
+        """Build the fused per-load fetch closure for the simulate() loop.
 
-        A drop-in for ``DlvpScheme.flat_fetch`` (same signature and
-        return contract): the scheme wrapper, flat_fetch_probe_predict,
-        the PAQ push/drain and ``hierarchy.probe_l1`` collapsed into a
-        single call with every hot attribute captured as a closure cell
-        — per-load attribute chasing was the dominant scheme-side cost.
-        Must be rebuilt per run (``flat_prepare``) because the closure
-        owns the batched-key cursor.  Outcome equivalence with the
-        layered methods is pinned by the golden suite.
+        ``DlvpScheme.flat_prepare`` installs it as the scheme's
+        ``flat_fetch`` (the flat-protocol signature and return
+        contract): the scheme wrapper, :meth:`on_load_fetch`,
+        :meth:`probe`, :meth:`predicted_values`, the PAQ push/drain and
+        ``hierarchy.probe_l1`` collapsed into a single call with every
+        hot attribute captured as a closure cell — per-load attribute
+        chasing was the dominant scheme-side cost. Must be rebuilt per
+        run (``flat_prepare``) because the closure owns the batched-key
+        cursor.  Outcome equivalence with the layered methods is pinned
+        by the golden suite.
         """
         lscd_enabled = self._lscd_enabled
         lscd_pcs = self._lscd_pcs
@@ -910,8 +564,8 @@ class DlvpEngine:
     def make_flat_execute(self):
         """Fused execute-side twin of :meth:`make_flat_fetch`.
 
-        Drop-in for ``DlvpScheme.flat_execute``: the scheme wrapper and
-        :meth:`flat_execute_train` as one closure.
+        Installed as ``DlvpScheme.flat_execute``: the scheme wrapper and
+        :meth:`on_load_execute` as one closure.
         """
         stats = self.stats
         is_pap = self._is_pap
@@ -1055,65 +709,3 @@ class DlvpEngine:
                     self.lscd.insert(inst.pc)
 
         return DlvpOutcome(value_predicted, value_correct, addr_predicted, addr_correct)
-
-    def execute_train(
-        self,
-        handle: DlvpFetchHandle,
-        inst: Instruction,
-        actual_way: int | None,
-        value_predicted: bool,
-        predicted: tuple[int, ...] | None,
-    ) -> tuple[bool, bool]:
-        """Execute-side fast path: :meth:`on_load_execute` without the
-        :class:`DlvpOutcome` allocation.
-
-        Returns ``(value_predicted, value_correct)`` — the two fields
-        the timing model consumes per load; behaviourally identical to
-        :meth:`on_load_execute`, which remains the reference
-        implementation (and the entry point for callers that want the
-        address-prediction outcome too).
-        """
-        if self._tracer is not None:
-            outcome = self.on_load_execute(
-                handle, inst, actual_way, value_predicted, predicted
-            )
-            return outcome.value_predicted, outcome.value_correct
-        mem_addr = inst.mem_addr
-        stats = self.stats
-        stats.loads_seen += 1
-
-        if handle.lscd_blocked:
-            stats.lscd_blocked += 1
-            return False, False
-
-        prediction = handle.prediction
-        addr_correct = prediction is not None and prediction.addr == mem_addr
-        if prediction is not None:
-            stats.address_predictions += 1
-            if addr_correct:
-                stats.address_correct += 1
-
-        if self._is_pap:
-            self.predictor.train(
-                handle.apt_index, handle.apt_tag, mem_addr, inst.mem_size, actual_way
-            )
-        else:
-            self.predictor.train(inst.pc, mem_addr)
-
-        value_correct = False
-        if value_predicted:
-            mask = (1 << (8 * inst.mem_size)) - 1
-            values = inst.values
-            if len(values) == 1:
-                value_correct = predicted == (values[0] & mask,)
-            else:
-                value_correct = predicted == tuple(v & mask for v in values)
-            stats.value_predictions += 1
-            if value_correct:
-                stats.value_correct += 1
-            elif addr_correct:
-                stats.inflight_conflicts += 1
-                if self._lscd_enabled:
-                    self.lscd.insert(inst.pc)
-
-        return value_predicted, value_correct

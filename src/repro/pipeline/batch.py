@@ -1,20 +1,20 @@
-"""numpy-batched predictor key precomputation for the columnar loop.
+"""numpy-batched predictor key precomputation for the simulate() loop.
 
-The columnar ``simulate()`` twin executes loads strictly in trace
-order, so any per-load quantity that is a pure function of the *trace*
-(rather than of mutable predictor state) can be computed for a whole
-chunk of loads at once.  DLVP's APT keys are exactly that: the
-load-path history register receives one bit — ``(pc >> 2) & 1`` — per
-dynamic load, unconditionally (LSCD-blocked and beyond-slot-limit loads
-push too, and pipeline flushes never roll the register back), so the
-folded history seen by load *j* depends only on the PCs of loads
-``0..j-1``.  :class:`PapKeyBatch` vectorizes the whole chain — history
-window, XOR-folds, index/tag hash, both fetch-group slots — with numpy
-and hands the engine plain Python lists to index on the hot path.
+``simulate()`` executes loads strictly in trace order, so any per-load
+quantity that is a pure function of the *trace* (rather than of mutable
+predictor state) can be computed for a whole chunk of loads at once.
+DLVP's APT keys are exactly that: the load-path history register
+receives one bit — ``(pc >> 2) & 1`` — per dynamic load, unconditionally
+(LSCD-blocked and beyond-slot-limit loads push too, and pipeline flushes
+never roll the register back), so the folded history seen by load *j*
+depends only on the PCs of loads ``0..j-1``.  :class:`PapKeyBatch`
+vectorizes the whole chain — history window, XOR-folds, index/tag hash,
+both fetch-group slots — with numpy and hands the engine plain Python
+lists to index on the hot path.
 
 The table *reads* (APT entries, confidence banks) stay sequential:
 they depend on training performed by earlier loads, and reordering
-them would break the bit-identical contract with the object engine.
+them would break the bit-identical contract the golden suite pins.
 
 numpy is an optional dependency (the ``fast`` extra).  When it is
 missing — or ``REPRO_NO_NUMPY=1`` disables it, which is how the

@@ -22,8 +22,10 @@ What the model captures (because the paper's results hinge on it):
   8-wide commit, ROB/LDQ/STQ occupancy.
 
 Performance: the per-instruction loop is the whole simulator's hot
-path, so it trades a little readability for throughput — method and
-attribute lookups are hoisted into locals, the per-word store tracking
+path, so it trades a little readability for throughput — the trace is
+read as struct-of-arrays columns (a :class:`~repro.trace.Trace` is
+converted once on entry), method and attribute lookups are hoisted
+into locals, the per-word store tracking
 dicts are pruned as stores retire (they are otherwise O(trace) — a
 memory leak and a dict-miss slowdown on long traces), and issue-port
 busy maps are pruned below the monotonically advancing fetch cycle.
@@ -104,7 +106,7 @@ class _IssuePorts:
 
 
 def simulate(
-    trace: Trace,
+    trace: Trace | ColumnarTrace,
     scheme: Scheme | None = None,
     core_config: CoreConfig | None = None,
     hierarchy_config: HierarchyConfig | None = None,
@@ -112,6 +114,18 @@ def simulate(
     tracer: "object | None" = None,
 ) -> SimResult:
     """Run one trace through the core model.
+
+    The loop reads the trace as struct-of-arrays: a :class:`Trace` is
+    converted once here with :meth:`ColumnarTrace.from_trace`, so
+    ``Trace``/``Instruction`` stay the authoring and analysis types
+    while every per-instruction attribute read below is a list index
+    and every opcode test compares plain integers.  Schemes with the
+    flat protocol (``Scheme.flat_protocol``) are driven with raw column
+    scalars; ``flat_prepare`` runs once before the loop so they can
+    precompute chunk-level batched predictor keys (see
+    :mod:`repro.pipeline.batch`).  Other schemes are adapted through
+    their object API (``fetch_side``/``execute_side``), one
+    :class:`~repro.isa.Instruction` view per scheme call.
 
     Args:
         trace: The workload trace.
@@ -123,28 +137,28 @@ def simulate(
             its hook protocol) for opt-in instrumentation, or None (the
             default).  The zero-overhead contract: with ``tracer=None``
             every hook site below is a single pre-hoisted ``traced``
-            boolean test (or untouched fast-path code), so outcomes and
-            throughput are identical to an untraced build; with a
-            tracer attached the inlined demand-access/DLVP paths route
-            through their reference implementations so component hooks
-            fire, at identical simulated outcomes.
+            boolean test, so outcomes and throughput are those of an
+            untraced build; with a tracer attached, demand accesses go
+            through :meth:`MemoryHierarchy.access` and schemes through
+            the object-API adapter, whose reference methods fire the
+            component hooks, at identical simulated outcomes.
 
     Returns:
         A :class:`SimResult`; compare runs of the same trace with
         :meth:`SimResult.speedup_over`.
     """
-    if isinstance(trace, ColumnarTrace):
-        if tracer is None:
-            return _simulate_columnar(
-                trace, scheme, core_config, hierarchy_config, recovery
-            )
-        # Traced runs take the reference object path (the tracer hooks
-        # live there); observability runs are rare and not hot.
-        trace = trace.to_trace()
+    if isinstance(trace, Trace):
+        trace = ColumnarTrace.from_trace(trace)
     cfg = core_config or CoreConfig()
     hierarchy = MemoryHierarchy(hierarchy_config)
     image = MemoryImage()
     branch_unit = BranchUnit()
+    # TAGE history is trace-determined, so its per-table keys can be
+    # precomputed in chunks (no-op without numpy; the live folded
+    # registers then run instead, to the same bits).
+    tage_batch = _key_batch.tage_key_batch(trace, branch_unit.tage)
+    if tage_batch is not None:
+        branch_unit.tage.bind_key_batch(tage_batch)
     mdp = StoreSetsPredictor()
     if scheme is not None:
         scheme.bind(hierarchy, image, branch_unit)
@@ -161,520 +175,12 @@ def simulate(
 
     n = len(trace)
     commit_cycles = [0] * n
-    reg_ready: dict[int, int] = {}
     ls_ports = _IssuePorts(cfg.ls_lanes)
     gen_ports = _IssuePorts(cfg.generic_lanes)
     # word -> (store seq, store done cycle, store pc): newest store per
     # word.  Entries are removed as their store retires (see the commit
     # loop below), bounding both dicts by in-flight work, not trace
     # length.
-    word_store: dict[int, tuple[int, int, int]] = {}
-    store_done: dict[int, int] = {}
-
-    fetch_cycle = 0
-    pending_redirect = 0
-    force_new_group = True
-    slots_used = 0
-    current_group = -1
-    prev_pc: int | None = None
-    loads_in_group = 0
-
-    commit_ptr = 0
-    last_commit_cycle = 0
-    commits_in_cycle = 0
-    load_commits: list[int] = []
-    store_commits: list[int] = []
-
-    flushes = FlushStats()
-    loads = 0
-
-    # ---- hot-loop local aliases ---------------------------------------
-    LOAD = OpClass.LOAD
-    STORE = OpClass.STORE
-    ls_ops = _LS_OPS
-    branch_ops = frozenset(op for op in OpClass if is_branch_op(op))
-    exec_latency = EXECUTION_LATENCY
-    fga_mask = ~(FETCH_GROUP_BYTES - 1)    # fetch_group_address(), inlined
-    fetch_width = cfg.fetch_width
-    rob_entries = cfg.rob_entries
-    ldq_entries = cfg.ldq_entries
-    stq_entries = cfg.stq_entries
-    fetch_to_execute = cfg.fetch_to_execute
-    rename_depth = cfg.rename_depth
-    commit_width = cfg.commit_width
-    branch_latency = cfg.branch_resolution_latency
-    validation_penalty = cfg.value_validation_penalty
-    forward_latency = cfg.store_forward_latency
-    # Issue-port state, inlined: the busy dicts and widths are bound
-    # locally and the issue_at scan is expanded in place below.
-    ls_busy = ls_ports._busy
-    ls_busy_get = ls_busy.get
-    ls_width = ls_ports.width
-    gen_busy = gen_ports._busy
-    gen_busy_get = gen_busy.get
-    gen_width = gen_ports.width
-    # Memory-hierarchy state, inlined: the demand-access TLB/L1 paths
-    # are expanded in place in the load/store blocks below (the aliased
-    # structures are created once by Cache.__init__ and only mutated in
-    # place, so the references stay valid for the whole run).
-    demand_accesses = hierarchy.demand_accesses
-    l1_latency = hierarchy._l1_latency
-    tlb_penalty = hierarchy._tlb_penalty
-    tlb_shift = hierarchy._tlb_shift
-    tlb_mask = hierarchy._tlb_mask
-    tlb_where = hierarchy._tlb_where
-    tlb_lru = hierarchy._tlb_lru
-    tlb_stats = hierarchy._tlb_stats
-    tlb_fill = hierarchy._tlb_array.fill
-    l1_shift = hierarchy._l1_shift
-    l1_mask = hierarchy._l1_mask
-    l1_where = hierarchy._l1_where
-    l1_lru = hierarchy._l1_lru
-    l1_stats = hierarchy._l1_stats
-    l1_fill = hierarchy.l1d.fill
-    fill_from_below = hierarchy._fill_from_below
-    prefetcher = hierarchy.prefetcher
-    prefetch_observe = prefetcher.observe if prefetcher is not None else None
-    prefetch_fill = hierarchy.prefetch_fill
-    hierarchy_access = hierarchy.access
-    image_write = image.write
-    branch_resolve = branch_unit.resolve
-    mdp_load_dependence = mdp.load_dependence
-    mdp_store_fetched = mdp.store_fetched
-    mdp_store_executed = mdp.store_executed
-    mdp_report_violation = mdp.report_violation
-    reg_ready_get = reg_ready.get
-    word_store_get = word_store.get
-    oracle_replay = recovery == RecoveryMode.ORACLE_REPLAY
-    fetch_all_ops = scheme is not None and not scheme.fetch_loads_only
-    if scheme is not None:
-        scheme_fetch_side = scheme.fetch_side
-        scheme_execute_side = scheme.execute_side
-        vpe_stats = scheme.vpe.stats
-        # vpe.admit and vpe.record_validation, split into their halves
-        # (allocate + the stat increments) so the common case is one
-        # call plus inline counter updates, not three calls.
-        pvt_try_allocate = scheme.vpe.pvt.try_allocate
-        pvt_note_read = scheme.vpe.pvt.note_consumer_read
-
-    instructions = trace.instructions
-    for i in range(n):
-        inst = instructions[i]
-        op = inst.op
-        pc = inst.pc
-
-        # ---- fetch grouping --------------------------------------------
-        if (
-            force_new_group
-            or slots_used >= fetch_width
-            or prev_pc is None
-            or pc != prev_pc + 4
-            or (pc & fga_mask) != current_group
-        ):
-            fetch_cycle = max(fetch_cycle + 1, pending_redirect)
-            slots_used = 0
-            loads_in_group = 0
-            current_group = pc & fga_mask
-            force_new_group = False
-        slots_used += 1
-        prev_pc = pc
-
-        # ---- structural stalls (ROB / LDQ / STQ) ------------------------
-        if i >= rob_entries:
-            stall = commit_cycles[i - rob_entries]
-            if stall > fetch_cycle:
-                fetch_cycle = stall
-        if op is LOAD:
-            if len(load_commits) >= ldq_entries:
-                stall = load_commits[-ldq_entries]
-                if stall > fetch_cycle:
-                    fetch_cycle = stall
-        elif op is STORE:
-            if len(store_commits) >= stq_entries:
-                stall = store_commits[-stq_entries]
-                if stall > fetch_cycle:
-                    fetch_cycle = stall
-
-        # ---- retire committed stores into the memory image --------------
-        # Retirement also prunes the in-flight store tracking: a store
-        # with commit_cycle <= fetch_cycle can never again satisfy the
-        # "in flight at issue" checks below (every future issue cycle is
-        # > the monotone fetch_cycle), so dropping it is outcome-neutral.
-        while commit_ptr < i and commit_cycles[commit_ptr] <= fetch_cycle:
-            cinst = instructions[commit_ptr]
-            if cinst.op is STORE:
-                caddr = cinst.mem_addr
-                image_write(caddr, cinst.mem_size, cinst.values[0])
-                store_done.pop(commit_ptr, None)
-                # _touched_words(), inlined (store sizes are >= 4).
-                first = caddr >> 2
-                last = (caddr + cinst.mem_size - 1) >> 2
-                for word in range(first, last + 1):
-                    entry = word_store_get(word)
-                    if entry is not None and entry[0] == commit_ptr:
-                        del word_store[word]
-            commit_ptr += 1
-
-        # ---- scheme fetch side ------------------------------------------
-        load_slot: int | None = None
-        if op is LOAD:
-            loads += 1
-            if loads_in_group < 2:
-                load_slot = loads_in_group
-            loads_in_group += 1
-        sp = None
-        if scheme is not None and (op is LOAD or fetch_all_ops):
-            # Probe on the first load-store bubble after the predicted
-            # address reaches the back-end (1 cycle predict + 1 cycle
-            # transport).  Lane *reservations* are for future issue
-            # cycles, so a bubble is essentially always available now;
-            # the paper measures <0.1% of PAQ entries aging out.
-            sp = scheme_fetch_side(inst, fetch_cycle, load_slot, fetch_cycle + 2)
-            if traced:
-                tracer.on_fetch_predict(
-                    fetch_cycle, pc, load_slot,
-                    sp is not None and sp.values is not None,
-                )
-
-        # ---- issue timing -----------------------------------------------
-        src_ready = 0
-        for reg in inst.srcs:
-            ready = reg_ready_get(reg, 0)
-            if ready > src_ready:
-                src_ready = ready
-        ready = fetch_cycle + fetch_to_execute
-        if src_ready > ready:
-            ready = src_ready
-
-        acc_way = None
-        if op is LOAD:
-            addr = inst.mem_addr
-            # MDP-predicted dependence: wait for the predicted store.
-            dep_seq = mdp_load_dependence(pc)
-            if dep_seq is not None and dep_seq in store_done:
-                if commit_cycles[dep_seq] > ready:
-                    dep_done = store_done[dep_seq]
-                    if dep_done > ready:
-                        ready = dep_done
-            issue = ready
-            count = ls_busy_get(issue, 0)
-            while count >= ls_width:
-                issue += 1
-                count = ls_busy_get(issue, 0)
-            ls_busy[issue] = count + 1
-            if traced:
-                # Reference demand access: behaviourally identical to
-                # the inline copy below and fires on_demand_access; the
-                # local demand_accesses mirror keeps the end-of-run
-                # write-back consistent.
-                demand_accesses += 1
-                acc = hierarchy_access(pc, addr)
-                acc_latency = acc.latency
-                acc_way = acc.way
-            else:
-                # hierarchy.access(), inlined: TLB, then L1, then
-                # prefetcher.
-                demand_accesses += 1
-                block = addr >> tlb_shift
-                set_idx = block & tlb_mask
-                way = tlb_where[set_idx].get(block)
-                if way is not None:
-                    lru = tlb_lru[set_idx]
-                    if lru[0] != way:
-                        lru.remove(way)
-                        lru.insert(0, way)
-                    tlb_stats.hits += 1
-                    acc_latency = l1_latency
-                else:
-                    tlb_stats.misses += 1
-                    tlb_fill(addr)
-                    acc_latency = l1_latency + tlb_penalty
-                block = addr >> l1_shift
-                set_idx = block & l1_mask
-                acc_way = l1_where[set_idx].get(block)
-                if acc_way is not None:
-                    lru = l1_lru[set_idx]
-                    if lru[0] != acc_way:
-                        lru.remove(acc_way)
-                        lru.insert(0, acc_way)
-                    l1_stats.hits += 1
-                else:
-                    l1_stats.misses += 1
-                    acc_way = l1_fill(addr)
-                    acc_latency += fill_from_below(addr)
-                if prefetch_observe is not None:
-                    for target in prefetch_observe(pc, addr):
-                        prefetch_fill(target)
-            # inst.footprint_bytes, inlined (op is LOAD here).
-            nbytes = inst.mem_size * (len(inst.dests) or 1)
-            first = addr >> 2
-            last = (addr + (nbytes if nbytes > 0 else 1) - 1) >> 2
-            if first == last:
-                newest = word_store_get(first)
-            else:
-                newest = None
-                for word in range(first, last + 1):
-                    entry = word_store_get(word)
-                    if entry is not None and (newest is None or entry[0] > newest[0]):
-                        newest = entry
-            if newest is not None and commit_cycles[newest[0]] > issue:
-                # In-flight producing store: forward from the STQ.
-                if newest[1] > issue and (dep_seq is None or dep_seq < newest[0]):
-                    mdp_report_violation(pc, newest[2])
-                done = max(issue, newest[1]) + forward_latency
-            else:
-                # Address generation (1 cycle) then the cache access.
-                done = issue + 1 + acc_latency
-        elif op is STORE:
-            addr = inst.mem_addr
-            mdp_store_fetched(pc, i)
-            if traced:
-                demand_accesses += 1
-                acc_way = hierarchy_access(pc, addr, is_store=True).way
-            else:
-                # hierarchy.access(is_store=True), inlined: TLB then L1,
-                # no prefetcher training on stores.
-                demand_accesses += 1
-                block = addr >> tlb_shift
-                set_idx = block & tlb_mask
-                way = tlb_where[set_idx].get(block)
-                if way is not None:
-                    lru = tlb_lru[set_idx]
-                    if lru[0] != way:
-                        lru.remove(way)
-                        lru.insert(0, way)
-                    tlb_stats.hits += 1
-                else:
-                    tlb_stats.misses += 1
-                    tlb_fill(addr)
-                block = addr >> l1_shift
-                set_idx = block & l1_mask
-                acc_way = l1_where[set_idx].get(block)
-                if acc_way is not None:
-                    lru = l1_lru[set_idx]
-                    if lru[0] != acc_way:
-                        lru.remove(acc_way)
-                        lru.insert(0, acc_way)
-                    l1_stats.hits += 1
-                else:
-                    l1_stats.misses += 1
-                    acc_way = l1_fill(addr)
-                    fill_from_below(addr)
-            issue = ready
-            count = ls_busy_get(issue, 0)
-            while count >= ls_width:
-                issue += 1
-                count = ls_busy_get(issue, 0)
-            ls_busy[issue] = count + 1
-            done = issue + 1
-            entry = (i, done, pc)
-            nbytes = inst.mem_size
-            first = addr >> 2
-            last = (addr + (nbytes if nbytes > 0 else 1) - 1) >> 2
-            if first == last:
-                word_store[first] = entry
-            else:
-                for word in range(first, last + 1):
-                    word_store[word] = entry
-            store_done[i] = done
-            mdp_store_executed(pc)
-        elif op in ls_ops:
-            issue = ready
-            count = ls_busy_get(issue, 0)
-            while count >= ls_width:
-                issue += 1
-                count = ls_busy_get(issue, 0)
-            ls_busy[issue] = count + 1
-            done = issue + exec_latency[op]
-        else:
-            issue = ready
-            count = gen_busy_get(issue, 0)
-            while count >= gen_width:
-                issue += 1
-                count = gen_busy_get(issue, 0)
-            gen_busy[issue] = count + 1
-            done = issue + exec_latency[op]
-
-        # ---- branches ----------------------------------------------------
-        if op in branch_ops:
-            done = issue + branch_latency
-            if branch_resolve(inst):
-                flushes.branch += 1
-                pending_redirect = done + 1
-                force_new_group = True
-                if scheme is not None:
-                    scheme.on_branch_flush()
-                if traced:
-                    tracer.on_recovery(done, "branch", pc)
-
-        # ---- value prediction resolution ---------------------------------
-        value_predicted = False
-        if sp is not None:
-            if sp.values is not None:
-                if oracle_replay and not sp.correct:
-                    pass        # oracle replay: treat as never predicted
-                elif pvt_try_allocate(sp.registers, fetch_cycle, done):
-                    value_predicted = True
-                else:
-                    vpe_stats.pvt_rejections += 1
-            value_correct = scheme_execute_side(inst, sp, acc_way, value_predicted)[1]
-            if traced and sp.values is not None:
-                tracer.on_vpe_verdict(done, pc, value_predicted, value_correct)
-            if value_predicted:
-                vpe_stats.value_predictions += 1
-                if value_correct:
-                    vpe_stats.value_correct += 1
-                pvt_note_read(sp.registers)
-                if value_correct:
-                    ready_time = fetch_cycle + rename_depth
-                    for reg in inst.dests:
-                        reg_ready[reg] = ready_time
-                else:
-                    flushes.value += 1
-                    pending_redirect = done + 1 + validation_penalty
-                    force_new_group = True
-                    scheme.on_value_flush()
-                    if traced:
-                        tracer.on_recovery(done, "value", pc)
-                    for reg in inst.dests:
-                        reg_ready[reg] = done
-        if not value_predicted:
-            for reg in inst.dests:
-                reg_ready[reg] = done
-
-        # ---- in-order commit ---------------------------------------------
-        cc = done + 1
-        if cc < last_commit_cycle:
-            cc = last_commit_cycle
-        if cc == last_commit_cycle:
-            if commits_in_cycle >= commit_width:
-                cc += 1
-                commits_in_cycle = 1
-            else:
-                commits_in_cycle += 1
-        else:
-            commits_in_cycle = 1
-        last_commit_cycle = cc
-        commit_cycles[i] = cc
-        if traced:
-            tracer.on_commit(i, cc, op)
-        if op is LOAD:
-            load_commits.append(cc)
-        elif op is STORE:
-            store_commits.append(cc)
-
-        # ---- bounded busy-map pruning ------------------------------------
-        if not i & 1023:
-            ls_ports.prune_below(fetch_cycle)
-            gen_ports.prune_below(fetch_cycle)
-
-    cycles = last_commit_cycle
-    hierarchy.demand_accesses = demand_accesses
-
-    result = _assemble_result(
-        trace.name, n, cycles, scheme, hierarchy, branch_unit, flushes, loads
-    )
-    if traced:
-        tracer.on_run_end(result)
-    return result
-
-
-def _assemble_result(
-    trace_name: str,
-    n: int,
-    cycles: int,
-    scheme: Scheme | None,
-    hierarchy: MemoryHierarchy,
-    branch_unit: BranchUnit,
-    flushes: FlushStats,
-    loads: int,
-) -> SimResult:
-    """Shared end-of-run accounting for both simulate() loops."""
-    energy = EnergyEvents(
-        cycles=cycles,
-        instructions=n,
-        l1d_accesses=hierarchy.l1d.stats.accesses,
-        l1d_probes=hierarchy.l1d.stats.probe_hits + hierarchy.l1d.stats.probe_misses,
-        l2_accesses=hierarchy.l2.stats.accesses,
-        l3_accesses=hierarchy.l3.stats.accesses,
-    )
-    value_predictions = 0
-    value_mispredictions = 0
-    scheme_name = "baseline"
-    scheme_stats = None
-    if scheme is not None:
-        scheme_name = scheme.name
-        scheme_stats = scheme.result_stats()
-        value_predictions = scheme.vpe.stats.value_predictions
-        value_mispredictions = scheme.vpe.stats.value_mispredictions
-        reads, writes = scheme.access_counts()
-        energy.l1d_probes_way_predicted = scheme.way_predicted_probes()
-        energy.predictor_reads = reads
-        energy.predictor_writes = writes
-        energy.predictor_bits = scheme.predictor_storage_bits()
-        energy.pvt_reads = scheme.vpe.pvt.reads
-        energy.pvt_writes = scheme.vpe.pvt.writes
-
-    tlb_stats = hierarchy.tlb.stats
-    tlb_miss_rate = (
-        tlb_stats.misses / tlb_stats.accesses if tlb_stats.accesses else 0.0
-    )
-    return SimResult(
-        trace_name=trace_name,
-        scheme_name=scheme_name,
-        instructions=n,
-        cycles=cycles,
-        flushes=flushes,
-        branch_mispredictions=branch_unit.stats.mispredictions,
-        value_predictions=value_predictions,
-        value_mispredictions=value_mispredictions,
-        loads=loads,
-        l1d_hit_rate=hierarchy.l1d.stats.hit_rate,
-        tlb_miss_rate=tlb_miss_rate,
-        energy=energy,
-        scheme_stats=scheme_stats,
-    )
-
-
-def _simulate_columnar(
-    trace: ColumnarTrace,
-    scheme: Scheme | None,
-    core_config: CoreConfig | None,
-    hierarchy_config: HierarchyConfig | None,
-    recovery: RecoveryMode,
-) -> SimResult:
-    """The columnar fast loop: simulate() reading struct-of-arrays.
-
-    A line-for-line twin of the object loop in :func:`simulate`, with
-    every per-instruction attribute read replaced by an array index and
-    opcode tests on plain integers.  Native flat-protocol schemes
-    (``Scheme.flat_protocol``) are driven entirely with raw column
-    scalars — ``flat_fetch``/``flat_execute`` never see an
-    :class:`~repro.isa.Instruction`, and ``flat_prepare`` runs once
-    before the loop so schemes can precompute chunk-level batched
-    predictor keys (see :mod:`repro.pipeline.batch`).  Third-party
-    object-API schemes are adapted inline, materializing one view per
-    scheme call.  Outcomes are pinned bit-identical to the object path
-    by the golden-equivalence suite's columnar leg.
-    """
-    cfg = core_config or CoreConfig()
-    hierarchy = MemoryHierarchy(hierarchy_config)
-    image = MemoryImage()
-    branch_unit = BranchUnit()
-    # TAGE history is trace-determined, so its per-table keys can be
-    # precomputed in chunks (no-op without numpy; the live folded
-    # registers then run exactly as in the object engine).
-    tage_batch = _key_batch.tage_key_batch(trace, branch_unit.tage)
-    if tage_batch is not None:
-        branch_unit.tage.bind_key_batch(tage_batch)
-    mdp = StoreSetsPredictor()
-    if scheme is not None:
-        scheme.bind(hierarchy, image, branch_unit)
-
-    n = len(trace)
-    commit_cycles = [0] * n
-    ls_ports = _IssuePorts(cfg.ls_lanes)
-    gen_ports = _IssuePorts(cfg.generic_lanes)
     word_store: dict[int, tuple[int, int, int]] = {}
     store_done: dict[int, int] = {}
 
@@ -733,7 +239,7 @@ def _simulate_columnar(
         max(dests_flat, default=-1),
     )
     reg_ready = [0] * nregs
-    fga_mask = ~(FETCH_GROUP_BYTES - 1)
+    fga_mask = ~(FETCH_GROUP_BYTES - 1)    # fetch_group_address(), inlined
     fetch_width = cfg.fetch_width
     rob_entries = cfg.rob_entries
     ldq_entries = cfg.ldq_entries
@@ -744,12 +250,18 @@ def _simulate_columnar(
     branch_latency = cfg.branch_resolution_latency
     validation_penalty = cfg.value_validation_penalty
     forward_latency = cfg.store_forward_latency
+    # Issue-port state, inlined: the busy dicts and widths are bound
+    # locally and the issue_at scan is expanded in place below.
     ls_busy = ls_ports._busy
     ls_busy_get = ls_busy.get
     ls_width = ls_ports.width
     gen_busy = gen_ports._busy
     gen_busy_get = gen_busy.get
     gen_width = gen_ports.width
+    # Memory-hierarchy state, inlined: the demand-access TLB/L1 paths
+    # are expanded in place in the load/store blocks below (the aliased
+    # structures are created once by Cache.__init__ and only mutated in
+    # place, so the references stay valid for the whole run).
     demand_accesses = hierarchy.demand_accesses
     l1_latency = hierarchy._l1_latency
     tlb_penalty = hierarchy._tlb_penalty
@@ -768,6 +280,7 @@ def _simulate_columnar(
     fill_from_below = hierarchy._fill_from_below
     prefetcher = hierarchy.prefetcher
     prefetch_fill = hierarchy.prefetch_fill
+    hierarchy_access = hierarchy.access
     # Stride-prefetcher observe(), inlined at the load site below:
     # table and thresholds aliased, entry construction via the class.
     pf_table = prefetcher._table if prefetcher is not None else None
@@ -794,11 +307,11 @@ def _simulate_columnar(
     fetch_all_ops = scheme is not None and not scheme.fetch_loads_only
     flat_native = False
     if scheme is not None:
-        # Native flat-protocol schemes take raw column scalars and get a
-        # pre-loop hook for chunk-level batched precomputation;
-        # third-party object-API schemes are adapted inline (one
-        # Instruction view per scheme call).
-        flat_native = scheme.flat_protocol
+        # Flat-protocol schemes take raw column scalars and get a
+        # pre-loop hook for chunk-level batched precomputation.  Traced
+        # runs, and schemes without the flat protocol, go through the
+        # object API instead (one Instruction view per scheme call).
+        flat_native = scheme.flat_protocol and not traced
         if flat_native:
             scheme.flat_prepare(trace)
             scheme_flat_fetch = scheme.flat_fetch
@@ -807,6 +320,9 @@ def _simulate_columnar(
             scheme_fetch_side = scheme.fetch_side
             scheme_execute_side = scheme.execute_side
         vpe_stats = scheme.vpe.stats
+        # vpe.admit and vpe.record_validation, split into their halves
+        # (allocate + the stat increments) so the common case is one
+        # call plus inline counter updates, not three calls.
         pvt_try_allocate = scheme.vpe.pvt.try_allocate
         pvt_note_read = scheme.vpe.pvt.note_consumer_read
 
@@ -846,6 +362,10 @@ def _simulate_columnar(
                     fetch_cycle = stall
 
         # ---- retire committed stores into the memory image --------------
+        # Retirement also prunes the in-flight store tracking: a store
+        # with commit_cycle <= fetch_cycle can never again satisfy the
+        # "in flight at issue" checks below (every future issue cycle is
+        # > the monotone fetch_cycle), so dropping it is outcome-neutral.
         while commit_ptr < i and commit_cycles[commit_ptr] <= fetch_cycle:
             if ops[commit_ptr] == STORE:
                 caddr = mem_addr_col[commit_ptr]
@@ -855,6 +375,7 @@ def _simulate_columnar(
                 cval = (vhi << 64) | values_lo[k] if vhi else values_lo[k]
                 image_write(caddr, csize, cval)
                 store_done.pop(commit_ptr, None)
+                # _touched_words(), inlined (store sizes are >= 4).
                 first = caddr >> 2
                 last = (caddr + csize - 1) >> 2
                 for word in range(first, last + 1):
@@ -872,6 +393,11 @@ def _simulate_columnar(
             loads_in_group += 1
         fp = None
         if scheme is not None and (op == LOAD or fetch_all_ops):
+            # Probe on the first load-store bubble after the predicted
+            # address reaches the back-end (1 cycle predict + 1 cycle
+            # transport).  Lane *reservations* are for future issue
+            # cycles, so a bubble is essentially always available now;
+            # the paper measures <0.1% of PAQ entries aging out.
             if flat_native:
                 ndests_i = dests_index[i + 1] - dests_index[i]
                 vs = values_index[i]
@@ -896,6 +422,11 @@ def _simulate_columnar(
                 sp = scheme_fetch_side(inst, fetch_cycle, load_slot, fetch_cycle + 2)
                 if sp is not None:
                     fp = (sp.values, sp.correct, sp, sp.registers)
+                if traced:
+                    tracer.on_fetch_predict(
+                        fetch_cycle, pc, load_slot,
+                        sp is not None and sp.values is not None,
+                    )
 
         # ---- issue timing -----------------------------------------------
         src_ready = 0
@@ -910,7 +441,8 @@ def _simulate_columnar(
         acc_way = None
         if op == LOAD:
             addr = mem_addr_col[i]
-            # mdp.load_dependence(pc), inlined (tick, SSIT, then LFST).
+            # mdp.load_dependence(pc), inlined (tick, SSIT, then LFST):
+            # wait for the predicted store.
             ev = mdp._events + 1
             mdp._events = ev
             if ev % mdp_clear_interval == 0:
@@ -934,56 +466,66 @@ def _simulate_columnar(
                 issue += 1
                 count = ls_busy_get(issue, 0)
             ls_busy[issue] = count + 1
-            # hierarchy.access(), inlined: TLB, then L1, then prefetcher.
             demand_accesses += 1
-            block = addr >> tlb_shift
-            set_idx = block & tlb_mask
-            way = tlb_where[set_idx].get(block)
-            if way is not None:
-                lru = tlb_lru[set_idx]
-                if lru[0] != way:
-                    lru.remove(way)
-                    lru.insert(0, way)
-                tlb_stats.hits += 1
-                acc_latency = l1_latency
+            if traced:
+                # The reference demand access fires on_demand_access;
+                # the local demand_accesses mirror keeps the end-of-run
+                # write-back consistent.
+                acc = hierarchy_access(pc, addr)
+                acc_latency = acc.latency
+                acc_way = acc.way
             else:
-                tlb_stats.misses += 1
-                tlb_fill(addr)
-                acc_latency = l1_latency + tlb_penalty
-            block = addr >> l1_shift
-            set_idx = block & l1_mask
-            acc_way = l1_where[set_idx].get(block)
-            if acc_way is not None:
-                lru = l1_lru[set_idx]
-                if lru[0] != acc_way:
-                    lru.remove(acc_way)
-                    lru.insert(0, acc_way)
-                l1_stats.hits += 1
-            else:
-                l1_stats.misses += 1
-                acc_way = l1_fill(addr)
-                acc_latency += fill_from_below(addr)
-            # prefetcher.observe(pc, addr), inlined: train the stride
-            # entry; issue `degree` prefetches once confident.
-            if pf_table is not None:
-                slot = pc % pf_entries
-                pf = pf_table.get(slot)
-                if pf is None:
-                    pf_table[slot] = pf_entry_cls(addr)
+                # hierarchy.access(), inlined: TLB, then L1, then
+                # prefetcher.
+                block = addr >> tlb_shift
+                set_idx = block & tlb_mask
+                way = tlb_where[set_idx].get(block)
+                if way is not None:
+                    lru = tlb_lru[set_idx]
+                    if lru[0] != way:
+                        lru.remove(way)
+                        lru.insert(0, way)
+                    tlb_stats.hits += 1
+                    acc_latency = l1_latency
                 else:
-                    stride = addr - pf.last_addr
-                    if stride == pf.stride and stride != 0:
-                        if pf.confidence < pf_threshold:
-                            pf.confidence += 1
+                    tlb_stats.misses += 1
+                    tlb_fill(addr)
+                    acc_latency = l1_latency + tlb_penalty
+                block = addr >> l1_shift
+                set_idx = block & l1_mask
+                acc_way = l1_where[set_idx].get(block)
+                if acc_way is not None:
+                    lru = l1_lru[set_idx]
+                    if lru[0] != acc_way:
+                        lru.remove(acc_way)
+                        lru.insert(0, acc_way)
+                    l1_stats.hits += 1
+                else:
+                    l1_stats.misses += 1
+                    acc_way = l1_fill(addr)
+                    acc_latency += fill_from_below(addr)
+                # prefetcher.observe(pc, addr), inlined: train the
+                # stride entry; issue `degree` prefetches once confident.
+                if pf_table is not None:
+                    slot = pc % pf_entries
+                    pf = pf_table.get(slot)
+                    if pf is None:
+                        pf_table[slot] = pf_entry_cls(addr)
                     else:
-                        pf.stride = stride
-                        pf.confidence = 0
-                    pf.last_addr = addr
-                    if stride != 0 and pf.confidence >= pf_threshold:
-                        prefetcher.trained += 1
-                        for k in range(1, pf_degree + 1):
-                            prefetch_fill(addr + stride * k)
-                        prefetcher.issued += pf_degree
+                        stride = addr - pf.last_addr
+                        if stride == pf.stride and stride != 0:
+                            if pf.confidence < pf_threshold:
+                                pf.confidence += 1
+                        else:
+                            pf.stride = stride
+                            pf.confidence = 0
+                        pf.last_addr = addr
+                        if stride != 0 and pf.confidence >= pf_threshold:
+                            prefetcher.trained += 1
+                            for k in range(1, pf_degree + 1):
+                                prefetch_fill(addr + stride * k)
+                            prefetcher.issued += pf_degree
+            # inst.footprint_bytes, inlined (op is LOAD here).
             ndests = dests_index[i + 1] - dests_index[i]
             nbytes = mem_size_col[i] * (ndests or 1)
             first = addr >> 2
@@ -997,41 +539,47 @@ def _simulate_columnar(
                     if entry is not None and (newest is None or entry[0] > newest[0]):
                         newest = entry
             if newest is not None and commit_cycles[newest[0]] > issue:
+                # In-flight producing store: forward from the STQ.
                 if newest[1] > issue and (dep_seq is None or dep_seq < newest[0]):
                     mdp_report_violation(pc, newest[2])
                 done = max(issue, newest[1]) + forward_latency
             else:
+                # Address generation (1 cycle) then the cache access.
                 done = issue + 1 + acc_latency
         elif op == STORE:
             addr = mem_addr_col[i]
             mdp_store_fetched(pc, i)
-            # hierarchy.access(is_store=True), inlined.
             demand_accesses += 1
-            block = addr >> tlb_shift
-            set_idx = block & tlb_mask
-            way = tlb_where[set_idx].get(block)
-            if way is not None:
-                lru = tlb_lru[set_idx]
-                if lru[0] != way:
-                    lru.remove(way)
-                    lru.insert(0, way)
-                tlb_stats.hits += 1
+            if traced:
+                acc_way = hierarchy_access(pc, addr, is_store=True).way
             else:
-                tlb_stats.misses += 1
-                tlb_fill(addr)
-            block = addr >> l1_shift
-            set_idx = block & l1_mask
-            acc_way = l1_where[set_idx].get(block)
-            if acc_way is not None:
-                lru = l1_lru[set_idx]
-                if lru[0] != acc_way:
-                    lru.remove(acc_way)
-                    lru.insert(0, acc_way)
-                l1_stats.hits += 1
-            else:
-                l1_stats.misses += 1
-                acc_way = l1_fill(addr)
-                fill_from_below(addr)
+                # hierarchy.access(is_store=True), inlined: TLB then L1,
+                # no prefetcher training on stores.
+                block = addr >> tlb_shift
+                set_idx = block & tlb_mask
+                way = tlb_where[set_idx].get(block)
+                if way is not None:
+                    lru = tlb_lru[set_idx]
+                    if lru[0] != way:
+                        lru.remove(way)
+                        lru.insert(0, way)
+                    tlb_stats.hits += 1
+                else:
+                    tlb_stats.misses += 1
+                    tlb_fill(addr)
+                block = addr >> l1_shift
+                set_idx = block & l1_mask
+                acc_way = l1_where[set_idx].get(block)
+                if acc_way is not None:
+                    lru = l1_lru[set_idx]
+                    if lru[0] != acc_way:
+                        lru.remove(acc_way)
+                        lru.insert(0, acc_way)
+                    l1_stats.hits += 1
+                else:
+                    l1_stats.misses += 1
+                    acc_way = l1_fill(addr)
+                    fill_from_below(addr)
             issue = ready
             count = ls_busy_get(issue, 0)
             while count >= ls_width:
@@ -1085,6 +633,8 @@ def _simulate_columnar(
                 force_new_group = True
                 if scheme is not None:
                     scheme.on_branch_flush()
+                if traced:
+                    tracer.on_recovery(done, "branch", pc)
 
         # ---- value prediction resolution ---------------------------------
         value_predicted = False
@@ -1106,6 +656,8 @@ def _simulate_columnar(
                 value_correct = scheme_execute_side(
                     inst, fp[2], acc_way, value_predicted
                 )[1]
+                if traced and fp_values is not None:
+                    tracer.on_vpe_verdict(done, pc, value_predicted, value_correct)
             if value_predicted:
                 vpe_stats.value_predictions += 1
                 if value_correct:
@@ -1120,6 +672,8 @@ def _simulate_columnar(
                     pending_redirect = done + 1 + validation_penalty
                     force_new_group = True
                     scheme.on_value_flush()
+                    if traced:
+                        tracer.on_recovery(done, "value", pc)
                     for k in range(dests_index[i], dests_index[i + 1]):
                         reg_ready[dests_flat[k]] = done
         if not value_predicted:
@@ -1140,6 +694,8 @@ def _simulate_columnar(
             commits_in_cycle = 1
         last_commit_cycle = cc
         commit_cycles[i] = cc
+        if traced:
+            tracer.on_commit(i, cc, OPCLASS_BY_VALUE[op])
         if op == LOAD:
             load_commits.append(cc)
         elif op == STORE:
@@ -1152,6 +708,66 @@ def _simulate_columnar(
 
     cycles = last_commit_cycle
     hierarchy.demand_accesses = demand_accesses
-    return _assemble_result(
+
+    result = _assemble_result(
         trace.name, n, cycles, scheme, hierarchy, branch_unit, flushes, loads
+    )
+    if traced:
+        tracer.on_run_end(result)
+    return result
+
+def _assemble_result(
+    trace_name: str,
+    n: int,
+    cycles: int,
+    scheme: Scheme | None,
+    hierarchy: MemoryHierarchy,
+    branch_unit: BranchUnit,
+    flushes: FlushStats,
+    loads: int,
+) -> SimResult:
+    """End-of-run accounting: energy events, scheme stats, SimResult."""
+    energy = EnergyEvents(
+        cycles=cycles,
+        instructions=n,
+        l1d_accesses=hierarchy.l1d.stats.accesses,
+        l1d_probes=hierarchy.l1d.stats.probe_hits + hierarchy.l1d.stats.probe_misses,
+        l2_accesses=hierarchy.l2.stats.accesses,
+        l3_accesses=hierarchy.l3.stats.accesses,
+    )
+    value_predictions = 0
+    value_mispredictions = 0
+    scheme_name = "baseline"
+    scheme_stats = None
+    if scheme is not None:
+        scheme_name = scheme.name
+        scheme_stats = scheme.result_stats()
+        value_predictions = scheme.vpe.stats.value_predictions
+        value_mispredictions = scheme.vpe.stats.value_mispredictions
+        reads, writes = scheme.access_counts()
+        energy.l1d_probes_way_predicted = scheme.way_predicted_probes()
+        energy.predictor_reads = reads
+        energy.predictor_writes = writes
+        energy.predictor_bits = scheme.predictor_storage_bits()
+        energy.pvt_reads = scheme.vpe.pvt.reads
+        energy.pvt_writes = scheme.vpe.pvt.writes
+
+    tlb_stats = hierarchy.tlb.stats
+    tlb_miss_rate = (
+        tlb_stats.misses / tlb_stats.accesses if tlb_stats.accesses else 0.0
+    )
+    return SimResult(
+        trace_name=trace_name,
+        scheme_name=scheme_name,
+        instructions=n,
+        cycles=cycles,
+        flushes=flushes,
+        branch_mispredictions=branch_unit.stats.mispredictions,
+        value_predictions=value_predictions,
+        value_mispredictions=value_mispredictions,
+        loads=loads,
+        l1d_hit_rate=hierarchy.l1d.stats.hit_rate,
+        tlb_miss_rate=tlb_miss_rate,
+        energy=energy,
+        scheme_stats=scheme_stats,
     )

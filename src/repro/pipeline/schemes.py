@@ -123,10 +123,10 @@ class Scheme(abc.ABC):
         object is allocated.
         """
 
-    # -- flattened dispatch (columnar simulate() path) -------------------
+    # -- flattened dispatch (untraced simulate() runs) -------------------
     #
     # Schemes that set ``flat_protocol = True`` speak a raw-scalar tuple
-    # protocol to the columnar loop: ``flat_fetch(pc, op, mem_addr,
+    # protocol to the simulate() loop: ``flat_fetch(pc, op, mem_addr,
     # mem_size, flags, ndests, values, fetch_cycle, load_slot,
     # probe_cycle)`` returns ``(values, correct, handle, registers)`` (or
     # None), and ``flat_execute(pc, op, mem_addr, mem_size, flags,
@@ -135,16 +135,17 @@ class Scheme(abc.ABC):
     # SchemePrediction is ever materialized.  ``values`` are the
     # architectural (trace) values; ``predicted`` is what flat_fetch
     # returned.  Third-party schemes leave ``flat_protocol`` False and
-    # the columnar loop adapts their object API (one Instruction view
-    # per call).  Outcomes are pinned to the object path by the golden
-    # suite.  ``flat_prepare`` runs once per columnar simulation, after
-    # bind(), with the full trace — the hook for chunk-level batched
-    # precomputation (see repro.pipeline.batch).
+    # the loop adapts their object API (one Instruction view per call);
+    # traced runs adapt every scheme that way, so the reference methods
+    # fire their tracer hooks.  The golden suite pins both dispatches to
+    # the same outcomes.  ``flat_prepare`` runs once per flat-protocol
+    # simulation, after bind(), with the full ColumnarTrace — the hook
+    # for chunk-level batched precomputation (see repro.pipeline.batch).
 
     flat_protocol = False
 
     def flat_prepare(self, trace) -> None:
-        """Per-run hook before the columnar loop starts (no-op default)."""
+        """Per-run hook before a flat-protocol run starts (no-op default)."""
 
     def on_value_flush(self) -> None:
         """A value misprediction flushed the pipeline."""
@@ -217,13 +218,6 @@ class DlvpScheme(Scheme):
             image=image,
             address_predictor=address_predictor,
         )
-        # Bound-method aliases for the two per-load calls (hot path).
-        self._fetch_probe_predict = self.engine.fetch_probe_predict
-        self._execute_train = self.engine.execute_train
-        self._on_unpredicted = self.engine.on_load_fetch_unpredicted
-        self._flat_fetch_engine = self.engine.flat_fetch_probe_predict
-        self._flat_execute_engine = self.engine.flat_execute_train
-        self._flat_unpredicted = self.engine.flat_load_unpredicted
         # Drop fused closures from any previous run: they captured the
         # previous engine.  flat_prepare() rebuilds them for this one.
         self.__dict__.pop("flat_fetch", None)
@@ -235,9 +229,9 @@ class DlvpScheme(Scheme):
         Without numpy (or for CAP, or APT histories wider than the
         64-bit batch fold), the engine falls back to live incremental
         folds — same bits, pinned by the golden suite.  Either way the
-        per-run flat_fetch/flat_execute instance closures (with every
-        hot attribute captured as a cell) shadow the layered class
-        methods for the columnar loop.
+        per-run ``flat_fetch``/``flat_execute`` are instance closures
+        with every hot attribute captured as a cell (see
+        :meth:`DlvpEngine.make_flat_fetch`).
         """
         engine = self.engine
         engine.bind_key_batch(None)
@@ -267,54 +261,25 @@ class DlvpScheme(Scheme):
     def fetch_side(self, inst, fetch_cycle, load_slot, probe_cycle):
         if inst.op != OpClass.LOAD:
             return None
+        engine = self.engine
         if load_slot is None:
-            self._on_unpredicted(inst)
+            engine.on_load_fetch_unpredicted(inst)
             return None
-        handle, values = self._fetch_probe_predict(
-            inst, fetch_cycle, load_slot, probe_cycle
-        )
+        handle = engine.on_load_fetch(inst, fetch_cycle, load_slot)
+        engine.probe(handle, probe_cycle)
+        values = engine.predicted_values(handle, inst)
         correct = values is not None and values == _masked_values(inst)
         return SchemePrediction(values, correct, handle, len(inst.dests))
 
     def execute_side(self, inst, sp, way, value_predicted):
-        return self._execute_train(
+        outcome = self.engine.on_load_execute(
             sp.handle,
             inst,
             way,
             value_predicted,
             sp.values if value_predicted else None,
         )
-
-    def flat_fetch(
-        self, pc, op, mem_addr, mem_size, flags, ndests, values,
-        fetch_cycle, load_slot, probe_cycle,
-    ):
-        if op != _LOAD:
-            return None
-        if load_slot is None:
-            self._flat_unpredicted(pc)
-            return None
-        handle, pred = self._flat_fetch_engine(
-            pc, mem_size, ndests, fetch_cycle, load_slot, probe_cycle
-        )
-        if pred is None:
-            return (None, False, handle, ndests)
-        # _masked_values(), flattened.
-        mask = (1 << (8 * mem_size)) - 1
-        if len(values) == 1:
-            correct = pred == (values[0] & mask,)
-        else:
-            correct = pred == tuple(v & mask for v in values)
-        return (pred, correct, handle, ndests)
-
-    def flat_execute(
-        self, pc, op, mem_addr, mem_size, flags, ndests, values,
-        handle, predicted, way, value_predicted,
-    ):
-        return self._flat_execute_engine(
-            handle, pc, mem_addr, mem_size, values, way, value_predicted,
-            predicted if value_predicted else None,
-        )
+        return outcome.value_predicted, outcome.value_correct
 
     def on_value_flush(self) -> None:
         super().on_value_flush()
@@ -587,18 +552,15 @@ class TournamentScheme(Scheme):
         super().bind(hierarchy, image, branch_unit)
         self.dlvp.bind(hierarchy, image, branch_unit)
         self.vtage.bind(hierarchy, image, branch_unit)
-        # Sub-scheme flat entry points, aliased for the per-load calls.
+
+    def flat_prepare(self, trace) -> None:
+        self.dlvp.flat_prepare(trace)
+        # Sub-scheme flat entry points, aliased for the per-load calls
+        # (the DLVP side's are the per-run closures flat_prepare built).
         self._dlvp_flat_fetch = self.dlvp.flat_fetch
         self._dlvp_flat_execute = self.dlvp.flat_execute
         self._vtage_flat_fetch = self.vtage.flat_fetch
         self._vtage_flat_execute = self.vtage.flat_execute
-
-    def flat_prepare(self, trace) -> None:
-        self.dlvp.flat_prepare(trace)
-        # flat_prepare installs per-run fused closures on the DLVP side;
-        # re-alias so the tournament dispatch picks them up.
-        self._dlvp_flat_fetch = self.dlvp.flat_fetch
-        self._dlvp_flat_execute = self.dlvp.flat_execute
 
     def attach_tracer(self, tracer) -> None:
         super().attach_tracer(tracer)
@@ -688,7 +650,7 @@ class TournamentScheme(Scheme):
             return (None, False, (d, v, prefer_dlvp), ndests)
         # Candidate preference, flattened: the chooser's pick when that
         # side predicted, else whichever side did (DLVP first — the
-        # same order the object path's candidate list encodes).
+        # same order fetch_side's candidate list encodes).
         if d_values is not None and (prefer_dlvp or v_values is None):
             final_is_dlvp, chosen = True, d
         else:

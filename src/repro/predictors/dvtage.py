@@ -94,7 +94,7 @@ class DvtagePredictor:
         return self.eligible_flat(int(inst.op), len(inst.dests), inst.is_vector)
 
     def eligible_flat(self, op: int, ndests: int, is_vector: bool) -> bool:
-        """:meth:`eligible` over raw column scalars (columnar hot path)."""
+        """:meth:`eligible` over raw column scalars (flat-protocol hot path)."""
         if op != _LOAD or ndests != 1:
             return False
         if self.config.static_filter and (
@@ -132,7 +132,7 @@ class DvtagePredictor:
     def predict_flat(
         self, pc: int, op: int, ndests: int, is_vector: bool, history: int
     ) -> int | None:
-        """:meth:`predict` over raw column scalars (columnar hot path)."""
+        """:meth:`predict` over raw column scalars (flat-protocol hot path)."""
         if not self.eligible_flat(op, ndests, is_vector):
             return None
         lvt_index, lvt_tag = self._lvt_key(pc)
@@ -173,7 +173,7 @@ class DvtagePredictor:
         values: tuple[int, ...],
         history: int,
     ) -> int | None:
-        """:meth:`train` over raw column scalars (columnar hot path)."""
+        """:meth:`train` over raw column scalars (flat-protocol hot path)."""
         if op == _LOAD:
             self.stats.loads_seen += 1
         if not self.eligible_flat(op, ndests, is_vector):

@@ -164,7 +164,7 @@ class VtagePredictor:
     def eligible_flat(
         self, op: int, ndests: int, is_vector: bool, values: tuple[int, ...]
     ) -> bool:
-        """:meth:`eligible` over raw column scalars (columnar hot path)."""
+        """:meth:`eligible` over raw column scalars (flat-protocol hot path)."""
         if not ndests or not values:
             return False
         if self.config.loads_only and op != _LOAD:
@@ -327,7 +327,7 @@ class VtagePredictor:
         values: tuple[int, ...],
         history: int,
     ) -> VtageHandle | None:
-        """:meth:`begin` over raw column scalars (columnar hot path)."""
+        """:meth:`begin` over raw column scalars (flat-protocol hot path)."""
         if op == _LOAD:
             self.stats.loads_seen += 1
         lookups = self._lookups_flat(pc, op, ndests, is_vector, values, history)
@@ -357,7 +357,7 @@ class VtagePredictor:
         is_vector: bool,
         values: tuple[int, ...],
     ) -> bool:
-        """:meth:`finish` over raw column scalars (columnar hot path)."""
+        """:meth:`finish` over raw column scalars (flat-protocol hot path)."""
         return self._train_with_lookups_flat(
             handle.lookups, op, ndests, is_vector, values
         )

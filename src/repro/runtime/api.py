@@ -99,15 +99,14 @@ class Runtime:
         resume_from: A journal path (or pre-read event list) whose
             completed jobs should be skipped and replayed from their
             journaled result payloads.
-        trace_format: In-memory trace representation for executed jobs:
-            ``"object"`` (default), ``"columnar"`` (struct-of-arrays
-            fast loop), or ``"shared"`` — the zero-copy trace fabric:
-            the parent generates each distinct trace once, publishes it
-            to shared memory (:mod:`repro.trace.share`), and dispatches
-            grid cells *grouped by trace* so each worker attaches one
-            trace and simulates every scheme against it.  Results are
-            bit-identical in all three modes, so the choice does not
-            enter the cache key.
+        fabric: Use the zero-copy trace fabric: the parent generates
+            each distinct trace once, publishes it to shared memory
+            (:mod:`repro.trace.share`), and dispatches grid cells
+            *grouped by trace* so each worker attaches one trace and
+            simulates every scheme against it.  Off (the default), each
+            cell acquires its own trace (worker memo, trace cache, or
+            generate).  Results are bit-identical either way, so the
+            choice does not enter the cache key.
         trace_dir: When set, every executed job runs under the full
             observability stack (:mod:`repro.observe`) and writes its
             Chrome trace (and, on failure, flight-recorder dump) into
@@ -130,11 +129,11 @@ class Runtime:
         faults: FaultPlan | str | None = None,
         resume_from: str | Path | list[dict] | None = None,
         trace_dir: str | Path | None = None,
-        trace_format: str = "object",
+        fabric: bool = False,
     ) -> None:
         self.jobs = max(1, jobs)
         self.trace_dir = str(trace_dir) if trace_dir is not None else None
-        self.trace_format = trace_format
+        self.fabric = fabric
         self.cache = (
             ResultCache(
                 cache_dir if cache_dir is not None else default_cache_dir(),
@@ -285,8 +284,8 @@ class Runtime:
     def _fabric_groups(self, to_run: list[Job]):
         """Group jobs by trace key and publish each trace to the fabric.
 
-        Returns ``(groups, store)`` — or ``(None, None)`` outside
-        ``trace_format="shared"``, where per-cell dispatch is used.  In
+        Returns ``(groups, store)`` — or ``(None, None)`` with the
+        fabric off, where per-cell dispatch is used.  In
         fabric mode the parent acquires each distinct trace once
         (trace cache, else generate), publishes it to a
         :class:`~repro.trace.share.TraceStore`, and tags every job in
@@ -295,7 +294,7 @@ class Runtime:
         instead of one.  A failed publish degrades gracefully: the
         group still runs, each worker building locally.
         """
-        if self.trace_format != "shared":
+        if not self.fabric:
             return None, None
         from repro.trace.share import TraceStore
 
@@ -409,7 +408,6 @@ class Runtime:
             (scheme, workload): make_job(
                 workload, n_instructions, scheme, recovery=recovery,
                 timeout=self.timeout, trace_dir=self.trace_dir,
-                trace_format=self.trace_format,
             )
             for scheme in schemes
             for workload in workloads

@@ -359,8 +359,8 @@ class ResultCache:
 
         A :class:`ColumnarTrace` is stored in the v2 binary columnar
         format, a :class:`Trace` in v1 text; :meth:`get_trace` and
-        :meth:`get_trace_columnar` both read either, so object and
-        columnar jobs share one cache entry per trace key.
+        :meth:`get_trace_columnar` both read either, so readers of
+        either representation share one cache entry per trace key.
         """
         path = self.trace_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -25,7 +25,7 @@ from repro.trace.serialization import (
     load_trace_columnar,
     map_v2_columns,
     save_trace,
-    sniff_trace_format,
+    sniff_trace_version,
     v2_bytes,
 )
 from repro.trace.share import (
@@ -49,7 +49,7 @@ __all__ = [
     "load_trace_columnar",
     "map_v2_columns",
     "save_trace",
-    "sniff_trace_format",
+    "sniff_trace_version",
     "v2_bytes",
     "TraceHandle",
     "TraceStore",

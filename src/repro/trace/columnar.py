@@ -244,7 +244,7 @@ class ColumnarTrace:
     def instruction(self, i: int) -> Instruction:
         """Materialize instruction ``i`` as an :class:`Instruction` view.
 
-        Hot path for the columnar simulate() loop (one view per
+        Hot path for simulate()'s object-API adapter (one view per
         predicted load), so it bypasses ``Instruction.__init__`` — the
         columns were populated from already-validated instructions, and
         ``__post_init__`` would re-check invariants the encoding cannot
@@ -280,7 +280,7 @@ class ColumnarTrace:
     def snapshots(self) -> tuple:
         """Plain-list snapshots of every column, memoized per trace.
 
-        The columnar simulate() loop indexes columns millions of times;
+        The simulate() loop indexes columns millions of times;
         ``array.array`` (and memoryview) indexing boxes a fresh int on
         every read, while a plain list returns the already-boxed
         object.  ``tolist()`` converts at C speed once — and because a

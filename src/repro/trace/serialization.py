@@ -320,7 +320,7 @@ def iter_trace_chunks(
     """
     from array import array
 
-    version = sniff_trace_format(path)
+    version = sniff_trace_version(path)
     if version == 1:
         name = _v1_name(path)
         chunk = ColumnarTrace(name)
@@ -378,7 +378,7 @@ def iter_trace_chunks(
             )
 
 
-def sniff_trace_format(path: str | Path) -> int:
+def sniff_trace_version(path: str | Path) -> int:
     """Return the on-disk format version (1 or 2) of a trace file."""
     with open(path, "rb") as fh:
         head = fh.read(len(_MAGIC_V2))
@@ -426,7 +426,7 @@ def _v2_name(path: str | Path) -> str:
 
 def load_trace(path: str | Path) -> Trace:
     """Read a trace written by :func:`save_trace` (either format)."""
-    if sniff_trace_format(path) == 1:
+    if sniff_trace_version(path) == 1:
         return Trace(_v1_name(path), _iter_v1(path))
     # name comes from the header, not the chunks, so a valid
     # zero-instruction file keeps its identity

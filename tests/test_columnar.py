@@ -38,7 +38,7 @@ from repro.trace import (
     load_trace,
     load_trace_columnar,
     save_trace,
-    sniff_trace_format,
+    sniff_trace_version,
 )
 from repro.workloads import build_workload, build_workload_columnar
 
@@ -118,7 +118,7 @@ def test_columnar_roundtrip_lossless(trace):
 def test_v2_serialization_roundtrip(tmp_path_factory, trace):
     path = tmp_path_factory.mktemp("v2") / "t.trace"
     save_trace(trace, path, format="v2", chunk_size=7)
-    assert sniff_trace_format(path) == 2
+    assert sniff_trace_version(path) == 2
     assert list(load_trace(path).instructions) == list(trace.instructions)
     assert load_trace_columnar(path) == ColumnarTrace.from_trace(trace)
 
@@ -128,7 +128,7 @@ def test_v2_serialization_roundtrip(tmp_path_factory, trace):
 def test_v1_serialization_roundtrip(tmp_path_factory, trace):
     path = tmp_path_factory.mktemp("v1") / "t.trace"
     save_trace(trace, path, format="v1")
-    assert sniff_trace_format(path) == 1
+    assert sniff_trace_version(path) == 1
     assert list(load_trace(path).instructions) == list(trace.instructions)
     assert load_trace_columnar(path) == ColumnarTrace.from_trace(trace)
 

@@ -51,14 +51,14 @@ class TestFabricGrid:
         reference = _cells(stock.run_grid(SCHEMES, WORKLOADS, N))
         for jobs, label in ((1, "serial"), (2, "parallel")):
             runtime = Runtime(jobs=jobs, cache_dir=tmp_path / f"fab{jobs}",
-                              trace_format="shared")
+                              fabric=True)
             grid = runtime.run_grid(SCHEMES, WORKLOADS, N)
             assert not grid.failures(), label
             assert _cells(grid) == reference, label
 
     def test_fabric_journal_records_group_lifecycle(self, tmp_path):
         journal_path = tmp_path / "run.jsonl"
-        runtime = Runtime(jobs=1, cache_dir=tmp_path, trace_format="shared",
+        runtime = Runtime(jobs=1, cache_dir=tmp_path, fabric=True,
                           journal_path=journal_path)
         grid = runtime.run_grid(SCHEMES, ["gzip"], N)
         assert not grid.failures()
@@ -72,11 +72,11 @@ class TestFabricGrid:
 
     def test_crashing_cell_fails_alone_in_its_group(self, tmp_path):
         runtime = Runtime(jobs=2, cache_dir=tmp_path, retries=1,
-                          trace_format="shared")
+                          fabric=True)
         jobs = [
-            make_job("gzip", N, "baseline", trace_format="shared"),
-            make_job("gzip", N, "fabric/dies", trace_format="shared"),
-            make_job("gzip", N, "dlvp", trace_format="shared"),
+            make_job("gzip", N, "baseline"),
+            make_job("gzip", N, "fabric/dies"),
+            make_job("gzip", N, "dlvp"),
         ]
         outcomes = runtime.run_jobs(jobs)
         assert outcomes[jobs[0].key].status == "ok"

@@ -1,7 +1,8 @@
 """Golden lock on ``simulate()``'s exact outcomes.
 
 The hot-path overhaul (incremental folded histories, the inlined
-``simulate()`` fast paths, the hierarchy/scheme call trimming) is pure
+``simulate()`` fast paths, the hierarchy/scheme call trimming, the
+struct-of-arrays loop that replaced the Instruction-list one) is pure
 optimization: it must never change a simulated outcome.  This suite
 pins ``SimResult.to_dict()`` — cycles, flushes, misprediction counts,
 hit rates, energy events, scheme stats — for one workload per suite
@@ -23,8 +24,7 @@ import pytest
 
 from repro.pipeline.core_model import simulate
 from repro.runtime.registry import get_scheme
-from repro.trace import ColumnarTrace
-from repro.workloads import SUITE, build_workload
+from repro.workloads import SUITE, build_workload, build_workload_columnar
 
 GOLDEN_PATH = Path(__file__).parent / "golden_simresults.json"
 INSTRUCTIONS = 3_000
@@ -72,23 +72,25 @@ def kernel_representatives() -> list[tuple[str, str]]:
     return sorted(reps.items())
 
 
-def _trace(workload: str, engine: str = "object"):
-    key = (workload, engine)
+def _trace(workload: str, trace_input: str = "object"):
+    key = (workload, trace_input)
     trace = _TRACES.get(key)
     if trace is None:
-        if engine == "shared":
+        if trace_input == "shared":
             trace = _shared_trace(workload)
-        elif engine == "columnar":
-            trace = ColumnarTrace.from_trace(_trace(workload))
+        elif trace_input == "columnar":
+            trace = build_workload_columnar(workload, INSTRUCTIONS)
         else:
             trace = build_workload(workload, INSTRUCTIONS)
         _TRACES[key] = trace
     return trace
 
 
-def simulate_cell(workload: str, scheme_id: str, engine: str = "object") -> dict:
+def simulate_cell(
+    workload: str, scheme_id: str, trace_input: str = "object"
+) -> dict:
     scheme = get_scheme(scheme_id).build()
-    return simulate(_trace(workload, engine), scheme).to_dict()
+    return simulate(_trace(workload, trace_input), scheme).to_dict()
 
 
 def _cells() -> list[tuple[str, str]]:
@@ -113,21 +115,23 @@ def test_golden_covers_every_kernel(goldens):
     assert set(goldens["cells"]) == expected
 
 
-@pytest.mark.parametrize("engine", ["object", "columnar", "shared"])
+@pytest.mark.parametrize("trace_input", ["object", "columnar", "shared"])
 @pytest.mark.parametrize(
     "workload,scheme_id", _cells(), ids=lambda v: str(v)
 )
-def test_simresult_bit_identical(goldens, workload, scheme_id, engine):
-    """All three trace engines must hit the same goldens bit for bit.
+def test_simresult_bit_identical(goldens, workload, scheme_id, trace_input):
+    """Every trace input must hit the same goldens bit for bit.
 
-    The columnar leg is what licenses the struct-of-arrays fast loop in
-    ``core_model`` (and the flattened scheme dispatch under it) to skip
-    the object path entirely.  The shared leg simulates straight off a
+    There is one engine; the legs differ in what is handed to it.  The
+    ``object`` leg passes a :class:`~repro.trace.Trace`, which
+    ``simulate()`` converts on entry.  The ``columnar`` leg passes the
+    array-backed trace the runtime generates and caches (its input with
+    the fabric off).  The ``shared`` leg simulates straight off a
     memoryview-backed trace attached from the shared-memory fabric,
     which is what licenses workers to attach instead of rebuilding.
     """
     golden = goldens["cells"][f"{workload}/{scheme_id}"]
-    assert simulate_cell(workload, scheme_id, engine) == golden
+    assert simulate_cell(workload, scheme_id, trace_input) == golden
 
 
 def _regen() -> None:

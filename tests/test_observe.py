@@ -29,6 +29,7 @@ from repro.observe import (
 from repro.pipeline import SimResult, simulate
 from repro.runtime import Runtime
 from repro.runtime.registry import get_scheme
+from repro.trace import ColumnarTrace
 from repro.workloads import build_workload
 
 SCHEME_IDS = ("dlvp", "cap", "vtage", "dvtage", "tournament")
@@ -53,14 +54,26 @@ def _trace(n=3000, name="aifirf"):
 
 class TestZeroOverheadContract:
     @pytest.mark.parametrize("scheme_id", (None,) + SCHEME_IDS)
-    def test_traced_run_bit_identical(self, scheme_id):
+    def test_traced_run_bit_identical(self, scheme_id, monkeypatch):
+        """Traced == untraced on a Trace and on a ColumnarTrace input.
+
+        A traced run stays in the one simulate() loop: it never turns
+        its columnar trace back into Instruction objects.
+        """
         trace = _trace()
+        inputs = (trace, ColumnarTrace.from_trace(trace))
+
+        def _forbidden(self):
+            raise AssertionError("simulate() called ColumnarTrace.to_trace")
+
+        monkeypatch.setattr(ColumnarTrace, "to_trace", _forbidden)
         build = (lambda: None) if scheme_id is None else get_scheme(scheme_id).build
-        untraced = simulate(trace, scheme=build())
-        traced = simulate(trace, scheme=build(), tracer=Recorder())
-        u, t = untraced.to_dict(), traced.to_dict()
-        u.pop("intervals"), t.pop("intervals")
-        assert u == t
+        for trace_input in inputs:
+            untraced = simulate(trace_input, scheme=build())
+            traced = simulate(trace_input, scheme=build(), tracer=Recorder())
+            u, t = untraced.to_dict(), traced.to_dict()
+            u.pop("intervals"), t.pop("intervals")
+            assert u == t
 
     def test_untraced_components_hold_no_tracer(self):
         scheme = get_scheme("dlvp").build()

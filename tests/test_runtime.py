@@ -18,6 +18,7 @@ from repro.runtime import (
     Runtime,
     SerialExecutor,
     code_version_salt,
+    job_from_identity,
     make_job,
     read_journal,
     register_scheme,
@@ -104,6 +105,49 @@ class TestJobKeys:
         code_version_salt.cache_clear()
         assert out[0] == code_version_salt()
         assert out[1] == make_job("gzip", N, "dlvp").key
+
+
+class TestRecordsWithRetiredTraceRepresentationField:
+    """Journals and serve tickets written while jobs still carried a
+    trace-representation field (``"trace_format"``) must keep loading:
+    gateway recovery and ``--resume`` across the upgrade depend on it."""
+
+    @staticmethod
+    def _legacy(fields: dict) -> dict:
+        return {**fields, "trace_format": "object"}
+
+    def test_job_from_identity_keeps_the_key(self):
+        job = make_job("gzip", N, "dlvp")
+        legacy = self._legacy(job.identity())
+        restored = job_from_identity(legacy)
+        assert restored.key == job.key == legacy["key"]
+        assert restored == job
+
+    def test_resume_replays_legacy_journal_without_executing(self, tmp_path):
+        path = tmp_path / "legacy.jsonl"
+        first = Runtime(jobs=1, use_cache=False, journal_path=path)
+        grid = first.run_grid(["dlvp"], ["gzip"], N)
+        first.journal.close()
+        events = read_journal(path)
+        submitted = [e for e in events if e["event"] == "job_submitted"]
+        assert submitted
+        path.write_text("".join(
+            json.dumps(self._legacy(e) if e["event"] == "job_submitted" else e)
+            + "\n"
+            for e in events
+        ))
+        for event in read_journal(path):
+            if event["event"] == "job_submitted":
+                assert event["trace_format"] == "object"
+                assert job_from_identity(event).key == event["key"]
+
+        second = Runtime(jobs=1, use_cache=False, resume_from=path)
+        grid2 = second.run_grid(["dlvp"], ["gzip"], N)
+        summary = second.journal.summary()
+        assert summary["resumed"] == 1
+        assert summary["executed"] == 0
+        assert second.journal.count("job_started") == 0
+        assert grid2.result("dlvp", "gzip") == grid.result("dlvp", "gzip")
 
 
 class TestSimResultRoundTrip:

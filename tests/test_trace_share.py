@@ -224,7 +224,7 @@ def test_worker_crash_leaves_no_segments(tmp_path):
 
     before = _shm_segments()
     runtime = Runtime(jobs=2, cache_dir=tmp_path, retries=1,
-                      trace_format="shared", faults="crash@gzip/dlvp:1")
+                      fabric=True, faults="crash@gzip/dlvp:1")
     grid = runtime.run_grid(["baseline", "dlvp"], ["gzip"], 1_000)
     assert not grid.failures()
     assert _shm_segments() == before
