@@ -128,7 +128,6 @@ def _runtime_from_args(
         faults=faults,
         resume_from=args.resume,
         trace_dir=getattr(args, "trace", None),
-        fabric=getattr(args, "fabric", False),
     )
 
 
@@ -365,10 +364,36 @@ def cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_report_checks(args: argparse.Namespace, report: dict) -> int:
-    """Shared ``--output`` / ``--check`` tail of both bench targets."""
+def cmd_bench(args: argparse.Namespace) -> int:
+    """``bench throughput``: simulate() inst/s per scheme."""
     from repro import bench
 
+    unknown = [s for s in args.schemes if s not in scheme_ids()]
+    if unknown:
+        print(f"unknown scheme(s) {unknown}; registered: {scheme_ids()}",
+              file=sys.stderr)
+        return 2
+    print(f"bench throughput — {args.workload} x {args.instructions} "
+          f"instructions, best of {args.repeats}", file=sys.stderr)
+    report = bench.run_throughput(
+        workload=args.workload,
+        instructions=args.instructions,
+        schemes=args.schemes,
+        repeats=args.repeats,
+        progress=lambda sid, entry: print(
+            f"  {sid:<11} {entry['inst_per_s']:>9,} inst/s "
+            f"({entry['wall_s']:.2f}s)", file=sys.stderr),
+    )
+    rows = [
+        [sid, f"{entry['inst_per_s']:,}", f"{entry['inst_per_s_mean']:,}",
+         f"{entry['wall_s']:.2f}"]
+        for sid, entry in report[bench.THROUGHPUT_SECTION].items()
+    ]
+    print(format_table(
+        ["scheme", "inst/s (best)", "inst/s (mean)", "wall s"], rows
+    ))
+    print(f"peak RSS {report['peak_rss_kib']} KiB, "
+          f"total wall {report['wall_s']:.1f}s")
     if args.output:
         path = bench.write_report(report, args.output)
         print(f"wrote {path}", file=sys.stderr)
@@ -387,75 +412,6 @@ def _bench_report_checks(args: argparse.Namespace, report: dict) -> int:
         print(f"{args.target} within {args.max_regression:.0%} of "
               f"{args.check}", file=sys.stderr)
     return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """``bench throughput`` / ``bench sweep``: benchmark the simulator."""
-    from repro import bench
-
-    unknown = [s for s in args.schemes if s not in scheme_ids()]
-    if unknown:
-        print(f"unknown scheme(s) {unknown}; registered: {scheme_ids()}",
-              file=sys.stderr)
-        return 2
-    if args.target == "sweep":
-        return _cmd_bench_sweep(args)
-    instructions = args.instructions or 24_000
-    print(f"bench throughput — {args.workload} x {instructions} "
-          f"instructions, best of {args.repeats}", file=sys.stderr)
-    report = bench.run_throughput(
-        workload=args.workload,
-        instructions=instructions,
-        schemes=args.schemes,
-        repeats=args.repeats,
-        progress=lambda sid, entry: print(
-            f"  {sid:<11} {entry['inst_per_s']:>9,} inst/s "
-            f"({entry['wall_s']:.2f}s)", file=sys.stderr),
-    )
-    rows = [
-        [sid, f"{entry['inst_per_s']:,}", f"{entry['inst_per_s_mean']:,}",
-         f"{entry['wall_s']:.2f}"]
-        for sid, entry in report[bench.THROUGHPUT_SECTION].items()
-    ]
-    print(format_table(
-        ["scheme", "inst/s (best)", "inst/s (mean)", "wall s"], rows
-    ))
-    print(f"peak RSS {report['peak_rss_kib']} KiB, "
-          f"total wall {report['wall_s']:.1f}s")
-    return _bench_report_checks(args, report)
-
-
-def _cmd_bench_sweep(args: argparse.Namespace) -> int:
-    """``bench sweep``: grid wall-clock, shared trace fabric off vs on."""
-    from repro import bench
-
-    workloads = args.workloads or list(bench.DEFAULT_SWEEP_WORKLOADS)
-    instructions = args.instructions or bench.DEFAULT_SWEEP_INSTRUCTIONS
-    print(f"bench sweep — {len(args.schemes)} schemes x "
-          f"{len(workloads)} workloads x {instructions} instructions, "
-          f"jobs={args.jobs}", file=sys.stderr)
-    try:
-        report = bench.run_sweep(
-            workloads=workloads,
-            schemes=args.schemes,
-            instructions=instructions,
-            jobs=args.jobs,
-            progress=lambda mode, entry: print(
-                f"  {mode:<11} {entry['wall_s']:.2f}s  "
-                f"{entry['inst_per_s']:>9,} inst/s", file=sys.stderr),
-        )
-    except RuntimeError as exc:
-        print(f"sweep failed: {exc}", file=sys.stderr)
-        return 1
-    sweep = report["sweep"]
-    rows = [
-        [mode, f"{sweep[mode]['wall_s']:.2f}", f"{sweep[mode]['inst_per_s']:,}"]
-        for mode in ("fabric_off", "fabric_on")
-    ]
-    print(format_table(["mode", "wall s", "inst/s"], rows))
-    print(f"speedup {sweep['speedup']:.2f}x, identical results: "
-          f"{sweep['identical_results']}")
-    return _bench_report_checks(args, report)
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -756,9 +712,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace", default=None, metavar="DIR",
                      help="run under the observability stack; write Chrome "
                           "traces (and flight dumps on failure) into DIR")
-    run.add_argument("--fabric", action="store_true",
-                     help="publish each trace once into shared memory and "
-                          "attach it from every worker")
     _add_runtime_flags(run)
 
     fig = sub.add_parser("figure", help="regenerate one figure or table")
@@ -784,9 +737,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--trace", default=None, metavar="DIR",
                        help="run under the observability stack; write Chrome "
                             "traces (and flight dumps on failure) into DIR")
-    sweep.add_argument("--fabric", action="store_true",
-                       help="publish each trace once into shared memory and "
-                            "attach it from every worker")
     _add_runtime_flags(sweep)
 
     chaos = sub.add_parser(
@@ -820,21 +770,12 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="benchmark the simulator itself (inst/s per scheme)",
     )
-    bench.add_argument("target", choices=["throughput", "sweep"],
-                       help="throughput: simulate() inst/s per scheme; "
-                            "sweep: end-to-end grid wall-clock, shared trace "
-                            "fabric off vs on")
+    bench.add_argument("target", choices=["throughput"],
+                       help="throughput: simulate() inst/s per scheme")
     bench.add_argument("--workload", default="gzip",
                        choices=sorted(SUITE),
-                       help="throughput: the single workload to time")
-    bench.add_argument("--workloads", nargs="+", default=None,
-                       choices=sorted(SUITE), metavar="workload",
-                       help="sweep: the grid's workload axis "
-                            "(default: gzip perlbmk nat)")
-    bench.add_argument("--instructions", type=int, default=None,
-                       help="default: 24000 (throughput) / 40000 (sweep)")
-    bench.add_argument("--jobs", type=int, default=1,
-                       help="sweep: worker processes per grid run")
+                       help="the single workload to time")
+    bench.add_argument("--instructions", type=int, default=24_000)
     bench.add_argument("--schemes", nargs="+", metavar="scheme",
                        default=["baseline"] + list(_RUN_SCHEMES),
                        help="scheme ids to time (default: all built-ins)")

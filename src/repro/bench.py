@@ -1,26 +1,18 @@
-"""Simulator performance benchmarks — ``python -m repro bench ...``.
+"""Simulator throughput benchmark — ``python -m repro bench throughput``.
 
-Two benches, one report file:
+``bench throughput`` measures how many *simulated* instructions per
+second ``simulate()`` sustains for each registered scheme on one
+workload trace.  End-to-end grid timing (dispatch, trace cache,
+journal) is measured by ``perfbench/run.py --workload sweep-short``.
 
-* ``bench throughput`` measures how many *simulated* instructions per
-  second ``simulate()`` sustains for each registered scheme on one
-  workload trace.
-* ``bench sweep`` measures end-to-end multi-scheme grid wall-clock
-  through the :class:`~repro.runtime.Runtime`, fabric off (stock
-  per-cell dispatch) versus fabric on (``Runtime(fabric=True)``:
-  generate each trace once, publish to shared memory, dispatch cells
-  grouped by trace) — asserting along the way that both modes produce
-  bit-identical per-cell results.
-
-Numbers land in a ``BENCH_*.json`` report (inst/s per scheme, sweep
-wall-clock per fabric mode, wall time, peak RSS of this
-process and its workers) so the simulator's own performance trajectory
-is tracked in the repository alongside its accuracy.
+Numbers land in a ``BENCH_*.json`` report (inst/s per scheme, wall
+time, peak RSS of this process and its children) so the simulator's own performance trajectory is
+tracked in the repository alongside its accuracy.
 
 The committed report doubles as a regression baseline:
 ``--check BENCH_pr10.json`` re-measures and fails when any scheme's
-(or sweep mode's) best inst/s falls more than ``--max-regression``
-below the committed number.  The gate is **coherent by construction**:
+best inst/s falls more than ``--max-regression`` below the committed
+number.  The gate is **coherent by construction**:
 the default here, the CI invocation and this docstring all say the
 same 20% — best-of-N absorbs scheduler noise (which only ever slows a
 run down), and the remaining machine-to-machine variance on the hosted
@@ -28,8 +20,8 @@ runners measures well under that margin at ``--repeats 5``.
 
 Simulated *outcomes* are deliberately out of scope here: bit-identical
 ``SimResult``\\ s are locked by ``tests/test_golden_simresults.py``
-(which exercises every trace input, fabric-attached included), so this
-module only has to care about speed.
+(which exercises every trace input the runtime hands ``simulate()``),
+so this module only has to care about speed.
 """
 
 from __future__ import annotations
@@ -52,11 +44,6 @@ DEFAULT_MAX_REGRESSION = 0.20
 # Every registered scheme id, cheapest first; ``tournament`` runs two
 # sub-predictors per load and dominates the wall time.
 DEFAULT_SCHEMES = ("baseline", "dlvp", "cap", "vtage", "dvtage", "tournament")
-DEFAULT_SWEEP_WORKLOADS = ("gzip", "perlbmk", "nat")
-# Large enough that per-process cold-start noise (allocator, bytecode
-# warm-up) stops dominating the per-cell numbers; the measured fabric
-# speedup climbs with instruction count and is near its asymptote here.
-DEFAULT_SWEEP_INSTRUCTIONS = 40_000
 
 # Throughput report sections by the engine that filled them.  Reports
 # up to BENCH_pr10.json carry both; the one engine left (the former
@@ -83,10 +70,8 @@ def child_peak_rss_kib() -> int:
     """Peak RSS over all reaped child processes of this process, KiB.
 
     ``RUSAGE_CHILDREN`` reports the *maximum* across terminated
-    children, so for the sweep bench (whose simulation happens in pool
-    workers) this is the worker-side memory headline that
-    :func:`peak_rss_kib` — parent-only — cannot see.  Zero when no
-    child has been reaped yet.
+    children — the memory :func:`peak_rss_kib` (parent-only) cannot
+    see.  Zero when no child has been reaped yet.
     """
     rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     if sys.platform == "darwin":
@@ -166,102 +151,6 @@ def run_throughput(
     return report
 
 
-def run_sweep(
-    workloads: Sequence[str] = DEFAULT_SWEEP_WORKLOADS,
-    schemes: Sequence[str] = DEFAULT_SCHEMES,
-    instructions: int = DEFAULT_SWEEP_INSTRUCTIONS,
-    jobs: int = 1,
-    progress=None,
-) -> dict:
-    """End-to-end grid wall-clock, trace fabric off vs on.
-
-    Runs the same (scheme x workload) grid twice through
-    :class:`~repro.runtime.Runtime`, each against a fresh temporary
-    cache so neither mode inherits the other's traces or results.  The
-    two modes run the same engine and differ only by the fabric:
-
-    * ``fabric_off`` — stock defaults: one worker dispatch per cell,
-      every cell paying its own trace acquisition.
-    * ``fabric_on`` — ``Runtime(fabric=True)``: each distinct trace is
-      generated once in the parent, published to shared memory, and the
-      grid is dispatched in trace groups.
-
-    The two grids must settle **bit-identical** per-cell results —
-    a mismatch raises, because it would mean the fabric changed
-    simulation outcomes, which no amount of speedup excuses.  The
-    returned report's ``"sweep"`` section carries per-mode wall-clock
-    and end-to-end inst/s (= cells x instructions / wall) plus their
-    ratio as ``speedup``.
-    """
-    import tempfile
-
-    from repro.runtime import Runtime
-
-    workloads = list(workloads)
-    schemes = list(schemes)
-    cells = len(schemes) * len(workloads)
-    t0 = time.perf_counter()
-    modes: dict[str, dict] = {}
-    results: dict[str, dict] = {}
-    for mode, fabric in (("fabric_off", False), ("fabric_on", True)):
-        with tempfile.TemporaryDirectory(
-            prefix=f"repro-sweep-{mode}-"
-        ) as cache_dir:
-            runtime = Runtime(jobs=jobs, cache_dir=cache_dir, fabric=fabric)
-            start = time.perf_counter()
-            grid = runtime.run_grid(schemes, workloads, instructions)
-            wall = time.perf_counter() - start
-        failures = grid.failures()
-        if failures:
-            first = failures[0]
-            raise RuntimeError(
-                f"sweep {mode}: {len(failures)} cell(s) failed, e.g. "
-                f"{first.job.scheme_id}/{first.job.workload}: {first.error}"
-            )
-        results[mode] = {
-            f"{scheme}/{workload}": grid.result(scheme, workload).to_dict()
-            for scheme in schemes
-            for workload in workloads
-        }
-        modes[mode] = {
-            "wall_s": round(wall, 3),
-            "inst_per_s": round(cells * instructions / wall),
-        }
-        if progress is not None:
-            progress(f"sweep/{mode}", modes[mode])
-    if results["fabric_off"] != results["fabric_on"]:
-        differing = sorted(
-            cell for cell in results["fabric_off"]
-            if results["fabric_off"][cell] != results["fabric_on"].get(cell)
-        )
-        raise RuntimeError(
-            "sweep results differ between fabric modes — the fabric must "
-            f"never change outcomes (differing cells: {differing})"
-        )
-    return {
-        "bench": "sweep",
-        "workloads": workloads,
-        "schemes": schemes,
-        "instructions": instructions,
-        "cells": cells,
-        "jobs": jobs,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "sweep": {
-            "fabric_off": modes["fabric_off"],
-            "fabric_on": modes["fabric_on"],
-            "speedup": round(
-                modes["fabric_off"]["wall_s"] / modes["fabric_on"]["wall_s"],
-                3,
-            ),
-            "identical_results": True,
-        },
-        "wall_s": round(time.perf_counter() - t0, 3),
-        "peak_rss_kib": peak_rss_kib(),
-        "children_peak_rss_kib": child_peak_rss_kib(),
-    }
-
-
 def write_report(report: dict, path: str | Path) -> Path:
     """Write a bench report as stable (sorted-key) JSON; returns path."""
     path = Path(path)
@@ -303,16 +192,12 @@ def check_regression(
     number (a malformed cell is a report problem, not a performance
     regression).  Pass a list as ``warnings`` to collect one message
     per skipped mismatch; the CLI prints them.
-
-    The same gate covers the ``"sweep"`` section's two fabric modes
-    (end-to-end inst/s), with the same warn-and-skip treatment for
-    reports that predate — or lack — the sweep bench.
     """
     failures = []
     warn = warnings.append if warnings is not None else (lambda _msg: None)
     for engine, section in _ENGINE_SECTIONS.items():
-        # sweep-only reports carry a "schemes" *list* (the grid config),
-        # not a per-scheme throughput mapping — treat it as absent
+        # reports of the retired grid bench carry a "schemes" *list*
+        # (the grid config), not a per-scheme mapping — treat it as absent
         current_schemes = current.get(section)
         if not isinstance(current_schemes, dict):
             current_schemes = None
@@ -355,43 +240,4 @@ def check_regression(
                     f"{1 - rate / baseline_rate:.0%} below the committed "
                     f"{baseline_rate:.0f} inst/s (allowed: {max_regression:.0%})"
                 )
-    current_sweep = current.get("sweep")
-    committed_sweep = committed.get("sweep")
-    if current_sweep and not isinstance(committed_sweep, dict):
-        warn("sweep: committed report has no 'sweep' section; skipping")
-        committed_sweep = {}
-    if committed_sweep and not isinstance(current_sweep, dict):
-        warn("sweep: fresh report has no 'sweep' section; nothing to compare")
-        current_sweep = {}
-    current_sweep = current_sweep if isinstance(current_sweep, dict) else {}
-    committed_sweep = (
-        committed_sweep if isinstance(committed_sweep, dict) else {}
-    )
-    for mode in ("fabric_off", "fabric_on"):
-        base = committed_sweep.get(mode)
-        if base is None:
-            if mode in current_sweep and committed_sweep:
-                warn(f"sweep/{mode}: not in the committed report; skipping")
-            continue
-        baseline_rate = _usable_rate(base)
-        if baseline_rate is None or baseline_rate <= 0:
-            warn(f"sweep/{mode}: committed entry has no usable inst_per_s; "
-                 f"skipping")
-            continue
-        if mode not in current_sweep:
-            if current_sweep:
-                warn(f"sweep/{mode}: in the committed report only; skipping")
-            continue
-        rate = _usable_rate(current_sweep.get(mode))
-        if rate is None:
-            warn(f"sweep/{mode}: fresh entry has no usable inst_per_s; "
-                 f"skipping")
-            continue
-        floor = baseline_rate * (1.0 - max_regression)
-        if rate < floor:
-            failures.append(
-                f"sweep/{mode}: {rate:.0f} inst/s is "
-                f"{1 - rate / baseline_rate:.0%} below the committed "
-                f"{baseline_rate:.0f} inst/s (allowed: {max_regression:.0%})"
-            )
     return failures

@@ -35,7 +35,6 @@ from repro.runtime.executor import (
 from repro.runtime.jobs import (
     CODE_SALT_ENV,
     Job,
-    TraceGroup,
     code_version_salt,
     execute_job,
     execute_job_info,
@@ -66,7 +65,6 @@ __all__ = [
     "job_from_identity",
     "execute_job",
     "execute_job_info",
-    "TraceGroup",
     "code_version_salt",
     "trace_cache_key",
     "ResultCache",

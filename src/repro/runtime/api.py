@@ -41,7 +41,7 @@ from __future__ import annotations
 import signal
 import threading
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.faults import FaultPlan, active_plan, corrupt_file
@@ -53,14 +53,9 @@ from repro.runtime.executor import (
     ParallelExecutor,
     SerialExecutor,
 )
-from repro.runtime.jobs import (
-    Job,
-    make_job,
-    result_from_payload,
-    trace_cache_key,
-)
+from repro.runtime.jobs import Job, make_job, result_from_payload
 from repro.runtime.journal import RunJournal, completed_results
-from repro.workloads import build_workload_columnar, workload_names
+from repro.workloads import workload_names
 
 
 class RunInterrupted(RuntimeError):
@@ -99,14 +94,6 @@ class Runtime:
         resume_from: A journal path (or pre-read event list) whose
             completed jobs should be skipped and replayed from their
             journaled result payloads.
-        fabric: Use the zero-copy trace fabric: the parent generates
-            each distinct trace once, publishes it to shared memory
-            (:mod:`repro.trace.share`), and dispatches grid cells
-            *grouped by trace* so each worker attaches one trace and
-            simulates every scheme against it.  Off (the default), each
-            cell acquires its own trace (worker memo, trace cache, or
-            generate).  Results are bit-identical either way, so the
-            choice does not enter the cache key.
         trace_dir: When set, every executed job runs under the full
             observability stack (:mod:`repro.observe`) and writes its
             Chrome trace (and, on failure, flight-recorder dump) into
@@ -129,11 +116,9 @@ class Runtime:
         faults: FaultPlan | str | None = None,
         resume_from: str | Path | list[dict] | None = None,
         trace_dir: str | Path | None = None,
-        fabric: bool = False,
     ) -> None:
         self.jobs = max(1, jobs)
         self.trace_dir = str(trace_dir) if trace_dir is not None else None
-        self.fabric = fabric
         self.cache = (
             ResultCache(
                 cache_dir if cache_dir is not None else default_cache_dir(),
@@ -256,111 +241,16 @@ class Runtime:
                 self._maybe_corrupt_cache(outcome)
 
         cache_dir = str(self.cache.root) if self.cache is not None else None
-        grouped, store = self._fabric_groups(to_run)
-        try:
-            with _sigterm_as_interrupt():
-                if grouped is not None:
-                    executed = self.executor.run_grouped(
-                        grouped, cache_dir=cache_dir,
-                        events=self._executor_event, fault_spec=fault_spec,
-                        on_outcome=_finish,
-                    )
-                else:
-                    executed = self.executor.run(
-                        to_run, cache_dir=cache_dir,
-                        events=self._executor_event, fault_spec=fault_spec,
-                        on_outcome=_finish,
-                    )
-        finally:
-            if store is not None:
-                store.close()
+        with _sigterm_as_interrupt():
+            executed = self.executor.run(
+                to_run, cache_dir=cache_dir,
+                events=self._executor_event, fault_spec=fault_spec,
+                on_outcome=_finish,
+            )
         for outcome in executed:      # belt and braces: never drop a cell
             if outcome.job.key not in outcomes:
                 _finish(outcome)
         return interrupted
-
-    # -- trace fabric ----------------------------------------------------
-
-    def _fabric_groups(self, to_run: list[Job]):
-        """Group jobs by trace key and publish each trace to the fabric.
-
-        Returns ``(groups, store)`` — or ``(None, None)`` with the
-        fabric off, where per-cell dispatch is used.  In
-        fabric mode the parent acquires each distinct trace once
-        (trace cache, else generate), publishes it to a
-        :class:`~repro.trace.share.TraceStore`, and tags every job in
-        the group with the attach ref; the executor then ships whole
-        groups so a worker simulates N schemes per trace acquisition
-        instead of one.  A failed publish degrades gracefully: the
-        group still runs, each worker building locally.
-        """
-        if not self.fabric:
-            return None, None
-        from repro.trace.share import TraceStore
-
-        root = Path(self.cache.root) / "fabric" if self.cache is not None else None
-        store = TraceStore(root=root)
-        if store.orphans_removed:
-            self.journal.event("fabric_orphans_removed",
-                               segments=store.orphans_removed)
-        by_trace: dict[str, list[Job]] = {}
-        singles: list[Job] = []
-        for job in to_run:
-            if job.trace_dir:
-                # Observability cells keep their own full-stack run;
-                # still dispatched as singleton groups for one code path.
-                singles.append(job)
-            else:
-                tkey = trace_cache_key(job.workload, job.n_instructions,
-                                       job.salt)
-                by_trace.setdefault(tkey, []).append(job)
-        groups: list[list[Job]] = []
-        for tkey, members in by_trace.items():
-            ref = self._publish_trace(store, tkey, members[0], len(members))
-            if ref is None:
-                groups.append(members)
-            else:
-                groups.append([replace(job, trace_ref=ref)
-                               for job in members])
-        groups.extend([job] for job in singles)
-        return groups, store
-
-    def _publish_trace(self, store, tkey: str, job: Job,
-                       cells: int) -> str | None:
-        """Acquire one trace in the parent and publish it; None on failure.
-
-        A freshly built trace is serialized exactly once: the same v2
-        image goes to the shared segment and (byte-identically) to the
-        disk trace cache.
-        """
-        from repro.trace.serialization import v2_bytes
-
-        try:
-            trace = None
-            built = False
-            if self.cache is not None:
-                trace = self.cache.get_trace_columnar(tkey)
-            if trace is None:
-                trace = build_workload_columnar(job.workload,
-                                                job.n_instructions)
-                built = True
-            image = v2_bytes(trace)
-            if built and self.cache is not None:
-                self.cache.put_trace_image(tkey, image)
-            ref = store.publish(tkey, trace, image=image)
-        except Exception as exc:
-            self.journal.event("trace_publish_failed", trace_key=tkey,
-                               workload=job.workload, error=str(exc))
-            return None
-        if built:
-            self.journal.event("trace_built", key=job.key,
-                               workload=job.workload, scheme=job.scheme_id,
-                               attempt=0)
-        self.journal.event("trace_published", trace_key=tkey, ref=ref,
-                           workload=job.workload,
-                           n_instructions=job.n_instructions,
-                           cells=cells)
-        return ref
 
     def _resumed_outcome(self, job: Job) -> JobOutcome | None:
         """Rebuild a completed job's outcome from the resume journal."""

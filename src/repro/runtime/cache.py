@@ -380,10 +380,8 @@ class ResultCache:
     def put_trace_image(self, key: str, image: bytes) -> None:
         """Store an already-serialized v2 image under ``key`` atomically.
 
-        ``image`` is exactly what ``v2_bytes`` produced — a valid v2
-        file — so a caller that just serialized a trace for the shared
-        fabric can land the identical bytes in the disk cache without
-        paying a second serialization.
+        ``image`` must already be a complete v2 trace file; its bytes
+        are written verbatim, with no decode/encode round trip.
         """
         path = self.trace_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -53,12 +53,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
 from repro.pipeline import SimResult
-from repro.runtime.jobs import (
-    Job,
-    TraceGroup,
-    execute_job_info,
-    result_from_payload,
-)
+from repro.runtime.jobs import Job, execute_job_info, result_from_payload
 
 # events callback: (kind, job, extra-fields) -> None
 EventFn = Callable[[str, Job, dict], None]
@@ -87,8 +82,8 @@ class JobOutcome:
     cache_hit: bool = False
     resumed: bool = False
     # How the worker obtained the trace it simulated against:
-    # "built" | "cache" | "memo" | "shared" (None for cache hits and
-    # failures — no simulation happened).
+    # "built" | "cache" | "memo" (None for cache hits and failures —
+    # no simulation happened).
     trace_source: str | None = None
 
     @property
@@ -161,61 +156,6 @@ def _worker_run(
         job.timeout,
     )
     return {"result": payload, "duration": time.monotonic() - started, **info}
-
-
-class _RemoteCellFailure(Exception):
-    """A group cell's failure, already formatted by the worker."""
-
-
-def _worker_run_group(
-    jobs: Sequence[Job],
-    cache_dir: str | None,
-    fault_spec: str | None = None,
-) -> dict:
-    """Pool-worker entry point for a trace group: one trace, N cells.
-
-    All jobs share a trace key; the trace is acquired once (attach →
-    memo → cache → build) and every cell simulates against it under its
-    own per-cell timeout.  Cells are independent — one raising or
-    timing out does not stop its siblings — and each reports back as a
-    small envelope, so the parent can settle successes and route
-    failures through the ordinary per-cell retry machinery.
-    """
-    started = time.monotonic()
-    cells = []
-    with TraceGroup(list(jobs), cache_dir) as group:
-        for job in jobs:
-            cell_started = time.monotonic()
-            try:
-                payload = _call_with_timeout(
-                    lambda job=job: group.run_cell(job, attempt=1,
-                                                   fault_spec=fault_spec),
-                    job.timeout,
-                )
-            except JobTimeoutError as exc:
-                cells.append({
-                    "key": job.key, "status": "timeout", "error": str(exc),
-                    "duration": time.monotonic() - cell_started,
-                })
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:
-                cells.append({
-                    "key": job.key, "status": "error",
-                    "error": _format_error(exc),
-                    "duration": time.monotonic() - cell_started,
-                })
-            else:
-                cells.append({
-                    "key": job.key, "status": "ok", "result": payload,
-                    "duration": time.monotonic() - cell_started,
-                })
-    return {
-        "cells": cells,
-        "trace_source": group.trace_source,
-        "trace_built_attempt": group.trace_built_attempt,
-        "duration": time.monotonic() - started,
-    }
 
 
 def _no_events(kind: str, job: Job, fields: dict) -> None:
@@ -332,20 +272,7 @@ class SerialExecutor(_FailurePolicy):
         events: EventFn,
         fault_spec: str | None,
     ) -> JobOutcome:
-        return self._drive(_Attempt(job), cache_dir, events, fault_spec)
-
-    def _drive(
-        self,
-        state: _Attempt,
-        cache_dir: str | None,
-        events: EventFn,
-        fault_spec: str | None,
-    ) -> JobOutcome:
-        """Run ``state`` to a terminal outcome, starting at its next
-        attempt — fresh jobs arrive with zero attempts, group cells
-        whose first attempt already failed in a trace group arrive
-        with one charged."""
-        job = state.job
+        state = _Attempt(job)
         while True:
             state.attempts += 1
             self.backoff_before(state.attempts)
@@ -382,97 +309,6 @@ class SerialExecutor(_FailurePolicy):
                     duration=envelope["duration"], attempts=state.attempts,
                     trace_source=envelope.get("trace_source"),
                 )
-
-    def run_grouped(
-        self,
-        groups: Sequence[Sequence[Job]],
-        cache_dir: str | None = None,
-        events: EventFn | None = None,
-        fault_spec: str | None = None,
-        on_outcome: OutcomeFn | None = None,
-    ) -> list[JobOutcome]:
-        """Run trace groups: each group's cells share one acquired trace.
-
-        Success settles straight from the group envelope; a failed cell
-        drops into the ordinary per-cell retry loop with its first
-        (group) attempt already charged, so the bounded-attempt policy
-        is identical to :meth:`run`.
-        """
-        events = events or _no_events
-        on_outcome = on_outcome or _no_outcome
-        all_jobs = [job for group in groups for job in group]
-        done: dict[str, JobOutcome] = {}
-        try:
-            for group in groups:
-                group = list(group)
-                for job in group:
-                    events("job_started", job, {"attempt": 1})
-                try:
-                    envelope = _worker_run_group(group, cache_dir, fault_spec)
-                except KeyboardInterrupt:
-                    raise
-                except Exception as exc:
-                    # Group-level failure (the trace itself could not be
-                    # acquired): every cell rides the per-cell path.
-                    envelope = {"cells": [
-                        {"key": job.key, "status": "error",
-                         "error": _format_error(exc), "duration": 0.0}
-                        for job in group
-                    ]}
-                built = envelope.get("trace_built_attempt")
-                if built is not None:
-                    events("trace_built", group[0], {"attempt": built})
-                source = envelope.get("trace_source")
-                cells = {cell["key"]: cell for cell in envelope["cells"]}
-                for job in group:
-                    outcome = self._settle_cell(
-                        job, cells.get(job.key), source, cache_dir, events,
-                        fault_spec,
-                    )
-                    on_outcome(outcome)
-                    done[job.key] = outcome
-        except KeyboardInterrupt:
-            for job in all_jobs:
-                if job.key not in done:
-                    outcome = JobOutcome(
-                        job, "interrupted", error=INTERRUPTED_ERROR,
-                        attempts=0,
-                    )
-                    on_outcome(outcome)
-                    done[job.key] = outcome
-        return [done[job.key] for job in all_jobs]
-
-    def _settle_cell(
-        self,
-        job: Job,
-        cell: dict | None,
-        source: str | None,
-        cache_dir: str | None,
-        events: EventFn,
-        fault_spec: str | None,
-    ) -> JobOutcome:
-        if cell is None:
-            cell = {"status": "error", "duration": 0.0,
-                    "error": "group worker returned no envelope for cell"}
-        if cell["status"] == "ok":
-            return JobOutcome(
-                job, "ok", result=result_from_payload(cell["result"]),
-                duration=cell["duration"], attempts=1, trace_source=source,
-            )
-        state = _Attempt(job, attempts=1)
-        if cell["status"] == "timeout":
-            if self.escalate_timeout(state):
-                return self._drive(state, cache_dir, events, fault_spec)
-            return JobOutcome(
-                job, "timeout", error=cell["error"],
-                duration=cell["duration"], attempts=1,
-            )
-        if state.attempts <= self.retries:
-            return self._drive(state, cache_dir, events, fault_spec)
-        return JobOutcome(
-            job, "error", error=cell["error"],
-            duration=cell["duration"], attempts=1,
-        )
 
 
 class JobLease(_FailurePolicy):
@@ -525,16 +361,8 @@ class JobLease(_FailurePolicy):
         fault_spec: str | None = None,
     ) -> JobOutcome:
         """Run one job to a terminal outcome (never raises job errors)."""
-        return self._drive(_Attempt(job), cache_dir, events or _no_events,
-                           fault_spec)
-
-    def _drive(
-        self,
-        state: _Attempt,
-        cache_dir: str | None,
-        events: EventFn,
-        fault_spec: str | None,
-    ) -> JobOutcome:
+        events = events or _no_events
+        state = _Attempt(job)
         while True:
             if self._cancelled:
                 return JobOutcome(
@@ -615,10 +443,10 @@ class JobLease(_FailurePolicy):
         """Run a trace group on this lease, one cell at a time.
 
         The cells share the lease's persistent single-worker pool, so
-        the worker process acquires the shared trace once — fabric
-        attach or the capacity-1 worker memo — and every later cell in
-        the group hits it warm.  Cells run *sequentially* rather than
-        as one batched submission on purpose: each cell's
+        the worker process acquires the trace once — trace cache or
+        build — and every later cell in the group hits the capacity-1
+        worker memo warm.  Cells run *sequentially* rather than as one
+        batched submission on purpose: each cell's
         ``job_started`` fires as it actually begins executing (which is
         what lets a serve-side watchdog attribute a hang to the right
         cell instead of a waiting or finished groupmate), and retries,
@@ -784,147 +612,6 @@ class ParallelExecutor(_FailurePolicy):
             pool.shutdown(wait=settled, cancel_futures=True)
         return broke
 
-    def run_grouped(
-        self,
-        groups: Sequence[Sequence[Job]],
-        cache_dir: str | None = None,
-        events: EventFn | None = None,
-        fault_spec: str | None = None,
-        on_outcome: OutcomeFn | None = None,
-    ) -> list[JobOutcome]:
-        """Fan trace groups out: one worker submission per group.
-
-        The first round ships whole groups (each worker acquires its
-        group's trace once and runs every cell); any cell that fails in
-        its group — or whose group broke the pool — flows through the
-        same shared/isolation retry rounds as :meth:`run`, carrying its
-        ``trace_ref`` so retries re-attach instead of regenerating.
-        """
-        events = events or _no_events
-        on_outcome = on_outcome or _no_outcome
-        order = [job.key for group in groups for job in group]
-        pending = {job.key: _Attempt(job) for group in groups for job in group}
-        done: dict[str, JobOutcome] = {}
-        try:
-            isolate = self._group_round(groups, pending, done, cache_dir,
-                                        events, fault_spec, on_outcome)
-            while pending:
-                if isolate:
-                    self._isolated_round(pending, done, cache_dir, events,
-                                         fault_spec, on_outcome)
-                else:
-                    isolate = self._shared_round(pending, done, cache_dir,
-                                                 events, fault_spec,
-                                                 on_outcome)
-        except KeyboardInterrupt:
-            for state in pending.values():
-                outcome = JobOutcome(
-                    state.job, "interrupted", error=INTERRUPTED_ERROR,
-                    attempts=state.attempts,
-                )
-                on_outcome(outcome)
-                done[state.job.key] = outcome
-        return [done[key] for key in order]
-
-    def _group_round(
-        self,
-        groups: Sequence[Sequence[Job]],
-        pending: dict[str, _Attempt],
-        done: dict[str, JobOutcome],
-        cache_dir: str | None,
-        events: EventFn,
-        fault_spec: str | None,
-        on_outcome: OutcomeFn,
-    ) -> bool:
-        """One pass shipping whole groups; True if the pool broke.
-
-        A broken pool uncharges every cell of the affected group —
-        blame is as ambiguous for a group as for a lone cell — and the
-        survivors fall to the isolation rounds, exactly like
-        :meth:`_shared_round`.
-        """
-        pool = _make_pool(self.max_workers)
-        futures = {}
-        broke = False
-        settled = False
-        try:
-            for group in groups:
-                states = [pending[job.key] for job in group
-                          if job.key in pending]
-                if not states:
-                    continue
-                for state in states:
-                    state.attempts += 1
-                    events("job_started", state.job,
-                           {"attempt": state.attempts})
-                try:
-                    future = pool.submit(
-                        _worker_run_group, [s.job for s in states], cache_dir,
-                        fault_spec,
-                    )
-                except BrokenProcessPool:
-                    for state in states:
-                        state.attempts -= 1
-                    broke = True
-                    break
-                futures[future] = (states, time.monotonic())
-            for future in as_completed(futures):
-                states, started = futures[future]
-                duration = time.monotonic() - started
-                try:
-                    envelope = future.result()
-                except BrokenProcessPool:
-                    for state in states:
-                        state.attempts -= 1
-                    broke = True
-                except Exception as exc:
-                    for state in states:
-                        self._settle(state, None, exc, pending, done,
-                                     duration, on_outcome, events)
-                else:
-                    self._settle_group(states, envelope, pending, done,
-                                       on_outcome, events)
-            settled = True
-        finally:
-            pool.shutdown(wait=settled, cancel_futures=True)
-        return broke
-
-    def _settle_group(
-        self,
-        states: list[_Attempt],
-        envelope: dict,
-        pending: dict[str, _Attempt],
-        done: dict[str, JobOutcome],
-        on_outcome: OutcomeFn,
-        events: EventFn,
-    ) -> None:
-        built = envelope.get("trace_built_attempt")
-        if built is not None:
-            events("trace_built", states[0].job, {"attempt": built})
-        source = envelope.get("trace_source")
-        cells = {cell["key"]: cell for cell in envelope.get("cells", [])}
-        for state in states:
-            cell = cells.get(state.job.key)
-            if cell is None:
-                exc: Exception = _RemoteCellFailure(
-                    "group worker returned no envelope for cell")
-                self._settle(state, None, exc, pending, done, 0.0,
-                             on_outcome, events)
-            elif cell["status"] == "ok":
-                cell_envelope = {"result": cell["result"],
-                                 "duration": cell["duration"],
-                                 "trace_source": source}
-                self._settle(state, cell_envelope, None, pending, done,
-                             cell["duration"], on_outcome, events)
-            elif cell["status"] == "timeout":
-                self._settle(state, None, JobTimeoutError(cell["error"]),
-                             pending, done, cell["duration"], on_outcome,
-                             events)
-            else:
-                self._settle(state, None, _RemoteCellFailure(cell["error"]),
-                             pending, done, cell["duration"], on_outcome,
-                             events)
-
     def _isolated_round(
         self,
         pending: dict[str, _Attempt],
@@ -1031,7 +718,5 @@ class ParallelExecutor(_FailurePolicy):
 
 
 def _format_error(exc: BaseException) -> str:
-    if isinstance(exc, _RemoteCellFailure):
-        return str(exc)     # already formatted by the group worker
     head = "".join(traceback.format_exception_only(type(exc), exc)).strip()
     return head

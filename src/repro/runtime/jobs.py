@@ -87,13 +87,6 @@ class Job:
     # dumps).  Like ``timeout`` it is not part of the key: tracing is
     # bit-identical to not tracing, so the result is the same cell.
     trace_dir: str | None = None
-    # Trace-fabric attach ref ("shm:..."/"file:...") published by the
-    # scheduling parent.  Not part of the key: an attached trace is
-    # bit-identical to a locally built one, and a worker that cannot
-    # attach (segment already unlinked) silently falls back to
-    # building, so the ref changes cost, never results.
-    trace_ref: str | None = None
-
     @property
     def key(self) -> str:
         """Deterministic content hash naming this job's result."""
@@ -149,7 +142,6 @@ def make_job(
     recovery: RecoveryMode = RecoveryMode.FLUSH,
     timeout: float | None = None,
     trace_dir: str | None = None,
-    trace_ref: str | None = None,
 ) -> Job:
     """Build a job for a registered scheme id, filling hash metadata."""
     spec = get_scheme(scheme_id)
@@ -163,7 +155,6 @@ def make_job(
         salt=code_version_salt(),
         timeout=timeout,
         trace_dir=trace_dir,
-        trace_ref=trace_ref,
     )
 
 
@@ -172,31 +163,18 @@ def make_job(
 # already generated its trace; re-deriving it is the single largest cost
 # of a retry, so the last trace is kept and reused when the next job
 # names the same content.  Capacity is deliberately 1: the memo exists
-# for retries and trace-grouped dispatch, not as a second trace cache.
+# for retries and serve's same-trace lease groups, not as a second
+# trace cache.
 _TRACE_MEMO: dict = {}
 
 
 def _acquire_trace(job: Job, cache: ResultCache | None, attempt: int):
     """Obtain the job's trace by the cheapest live route.
 
-    Order: fabric attach (``job.trace_ref``) → worker memo → shared
-    trace cache → generate.  Returns ``(trace, info, handle)`` where
-    ``info`` describes provenance for the result envelope and
-    ``handle`` is a fabric handle to close after simulating (or None).
-    An attach failure — segment unlinked, file gone, torn header — is
-    never fatal: the worker quietly builds locally instead, so the
-    fabric only ever changes cost, not outcomes.
+    Order: worker memo → shared trace cache → generate.  Returns
+    ``(trace, info)`` where ``info`` describes provenance for the
+    result envelope.
     """
-    if job.trace_ref is not None:
-        try:
-            from repro.trace.share import attach as fabric_attach
-
-            handle = fabric_attach(job.trace_ref)
-        except Exception:
-            pass  # fall through to memo / cache / build
-        else:
-            return handle.trace, {"trace_source": "shared"}, handle
-
     key = trace_cache_key(job.workload, job.n_instructions, job.salt)
     entry = _TRACE_MEMO.get(key)
     if entry is not None:
@@ -204,7 +182,7 @@ def _acquire_trace(job: Job, cache: ResultCache | None, attempt: int):
         if not entry["announced"]:
             info["trace_built_attempt"] = entry["built_attempt"]
             info["entry"] = entry
-        return entry["trace"], info, None
+        return entry["trace"], info
 
     trace = cache.get_trace_columnar(key) if cache is not None else None
     built = trace is None
@@ -220,7 +198,7 @@ def _acquire_trace(job: Job, cache: ResultCache | None, attempt: int):
     if built:
         info["trace_built_attempt"] = attempt
         info["entry"] = entry
-    return trace, info, None
+    return trace, info
 
 
 def _announce(info: dict) -> None:
@@ -235,35 +213,6 @@ def _announce(info: dict) -> None:
         entry["announced"] = True
 
 
-def _simulate_cell(job: Job, trace) -> dict:
-    """Simulate one cell against an already-acquired trace."""
-    if job.scheme_module:
-        try:
-            importlib.import_module(job.scheme_module)
-        except ImportError:
-            pass  # fall through: under fork the registry is inherited
-    spec = get_scheme(job.scheme_id)
-    scheme = spec.build()
-    if job.trace_dir:
-        # Observability path: full tracer stack, Chrome trace written
-        # beside the flight dump.  Results stay bit-identical to the
-        # untraced fast path (golden-verified), just with intervals.
-        from repro.observe import run_traced
-
-        out_dir = Path(job.trace_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        out = out_dir / f"{job.workload}-{job.scheme_id}.trace.json"
-        run = run_traced(
-            trace,
-            scheme=scheme,
-            recovery=RecoveryMode(job.recovery),
-            out=out,
-        )
-        return run.result.to_dict()
-    result = simulate(trace, scheme=scheme, recovery=RecoveryMode(job.recovery))
-    return result.to_dict()
-
-
 def execute_job_info(
     job: Job,
     cache_dir: str | None = None,
@@ -273,27 +222,41 @@ def execute_job_info(
     """Like :func:`execute_job` but also returns trace provenance.
 
     The second element is ``{"trace_source": ..., "trace_built_attempt"?}``
-    — which route produced the trace (``shared``/``memo``/``cache``/
-    ``built``) and, the first time a worker-built trace carries a
-    successful result, the attempt number that generated it.  Faults
-    are injected *after* trace acquisition: the injector models a
-    failing simulation, and a real mid-simulation death happens with
-    the trace already generated — which is exactly what makes the memo
-    worth having on the retry.
+    — which route produced the trace (``memo``/``cache``/``built``)
+    and, the first time a worker-built trace carries a successful
+    result, the attempt number that generated it.  Faults are injected
+    *after* trace acquisition: the injector models a failing
+    simulation, and a real mid-simulation death happens with the trace
+    already generated — which is exactly what makes the memo worth
+    having on the retry.
     """
     cache = ResultCache(cache_dir) if cache_dir else None
-    trace, info, handle = _acquire_trace(job, cache, attempt)
-    try:
-        plan = faults.active_plan(fault_spec)
-        if plan is not None:
-            faults.inject(job.workload, job.scheme_id, attempt, job.key, plan)
-        payload = _simulate_cell(job, trace)
-    finally:
-        if handle is not None:
-            handle.close()
+    trace, info = _acquire_trace(job, cache, attempt)
+    plan = faults.active_plan(fault_spec)
+    if plan is not None:
+        faults.inject(job.workload, job.scheme_id, attempt, job.key, plan)
+    if job.scheme_module:
+        try:
+            importlib.import_module(job.scheme_module)
+        except ImportError:
+            pass  # fall through: under fork the registry is inherited
+    scheme = get_scheme(job.scheme_id).build()
+    recovery = RecoveryMode(job.recovery)
+    if job.trace_dir:
+        # Observability path: full tracer stack, Chrome trace written
+        # beside the flight dump.  Results stay bit-identical to the
+        # untraced fast path (golden-verified), just with intervals.
+        from repro.observe import run_traced
+
+        out_dir = Path(job.trace_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        out = out_dir / f"{job.workload}-{job.scheme_id}.trace.json"
+        result = run_traced(trace, scheme=scheme, recovery=recovery,
+                            out=out).result
+    else:
+        result = simulate(trace, scheme=scheme, recovery=recovery)
     _announce(info)
-    info.pop("entry", None)
-    return payload, info
+    return result.to_dict(), info
 
 
 def execute_job(
@@ -319,51 +282,6 @@ def execute_job(
     """
     payload, _ = execute_job_info(job, cache_dir, attempt, fault_spec)
     return payload
-
-
-class TraceGroup:
-    """Worker-side context for running many cells over one trace.
-
-    The scheduling parent groups grid cells that share a trace key and
-    ships the whole group to a single worker; this context acquires the
-    trace once (fabric attach, memo, cache, or build — same ladder as a
-    single job) and lets the caller run each cell against it.  Cells
-    stay independent: a cell that raises does not poison its siblings,
-    and the caller wraps each :meth:`run_cell` in its own timeout.
-    """
-
-    def __init__(self, jobs: list[Job], cache_dir: str | None = None):
-        if not jobs:
-            raise ValueError("empty trace group")
-        self.jobs = jobs
-        self._cache = ResultCache(cache_dir) if cache_dir else None
-        self.trace = None
-        self.trace_source: str | None = None
-        self.trace_built_attempt: int | None = None
-        self._info: dict = {}
-        self._handle = None
-
-    def __enter__(self) -> "TraceGroup":
-        self.trace, self._info, self._handle = _acquire_trace(
-            self.jobs[0], self._cache, attempt=1
-        )
-        self.trace_source = self._info.get("trace_source")
-        self.trace_built_attempt = self._info.get("trace_built_attempt")
-        return self
-
-    def run_cell(self, job: Job, attempt: int = 1, fault_spec: str | None = None) -> dict:
-        plan = faults.active_plan(fault_spec)
-        if plan is not None:
-            faults.inject(job.workload, job.scheme_id, attempt, job.key, plan)
-        return _simulate_cell(job, self.trace)
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        if exc_type is None:
-            _announce(self._info)
-        self._info.pop("entry", None)
 
 
 def result_from_payload(payload: dict) -> SimResult:

@@ -690,9 +690,9 @@ class Scheduler:
         When the pulled cell shares its trace key with other cells of
         the *same tenant's* queue, up to ``group_cells`` of them are
         dispatched together onto the lease: its single worker process
-        persists across the cells, so it acquires the trace once —
-        fabric attach or the worker memo — and simulates every scheme
-        against it, which is where the sweep-throughput win comes from.
+        persists across the cells, so it acquires the trace once (trace
+        cache or build) and every later cell hits the worker memo,
+        simulating every scheme against one trace.
         Cells still run (and settle) one at a time, so per-cell events,
         retries and watchdog attribution are identical to solo dispatch.
         """

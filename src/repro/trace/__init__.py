@@ -23,17 +23,8 @@ from repro.trace.serialization import (
     iter_trace_chunks,
     load_trace,
     load_trace_columnar,
-    map_v2_columns,
     save_trace,
     sniff_trace_version,
-    v2_bytes,
-)
-from repro.trace.share import (
-    TraceHandle,
-    TraceStore,
-    attach,
-    gc_orphans,
-    shm_available,
 )
 
 __all__ = [
@@ -47,13 +38,6 @@ __all__ = [
     "iter_trace_chunks",
     "load_trace",
     "load_trace_columnar",
-    "map_v2_columns",
     "save_trace",
     "sniff_trace_version",
-    "v2_bytes",
-    "TraceHandle",
-    "TraceStore",
-    "attach",
-    "gc_orphans",
-    "shm_available",
 ]

@@ -25,14 +25,6 @@ with ``0`` stored in the column when absent, so every column stays a
 fixed-width numeric array.  Conversion is lossless both ways — the
 hypothesis round-trip suite in ``tests/test_columnar.py`` pins that.
 
-Columns do not have to be ``array.array``: any buffer exposing the
-array read surface works, and :meth:`from_columns` accepts typed
-``memoryview``\\ s — which is how :mod:`repro.trace.share` attaches a
-trace zero-copy out of a shared-memory segment.  A view-backed trace is
-read-only (``append``/``extend`` raise), but the whole simulate() read
-surface — indexing, slicing, ``tolist()``, iteration — is identical,
-and the golden suite's "shared" leg pins the outcomes bit-identical.
-
 The module depends only on the stdlib ``array``; :func:`numpy_columns`
 exposes zero-copy numpy views when numpy is importable.
 """
@@ -80,14 +72,6 @@ COLUMNS: tuple[tuple[str, str], ...] = (
 )
 
 
-def column_typecode(col) -> str:
-    """The element typecode of a column: ``array.array`` or memoryview."""
-    code = getattr(col, "typecode", None)
-    if code is None:
-        code = col.format       # typed memoryview (shared-memory attach)
-    return code
-
-
 class ColumnarTrace:
     """An ordered instruction sequence stored column-wise.
 
@@ -121,7 +105,7 @@ class ColumnarTrace:
     # -- construction ----------------------------------------------------
 
     def append(self, inst: Instruction) -> None:
-        self._check_writable()
+        self._drop_snapshots()
         flags = 0
         if inst.mem_addr is not None:
             flags |= F_MEM
@@ -150,7 +134,7 @@ class ColumnarTrace:
 
     def extend(self, other: "ColumnarTrace") -> None:
         """Concatenate ``other``'s instructions (chunk reassembly)."""
-        self._check_writable()
+        self._drop_snapshots()
         src_base = self.srcs_index[-1]
         dst_base = self.dests_index[-1]
         val_base = self.values_index[-1]
@@ -162,20 +146,8 @@ class ColumnarTrace:
         self.dests_index.extend(dst_base + x for x in other.dests_index[1:])
         self.values_index.extend(val_base + x for x in other.values_index[1:])
 
-    def _check_writable(self) -> None:
-        """Reject mutation of view-backed (attached) traces; drop memos.
-
-        A trace attached out of a shared-memory segment holds read-only
-        memoryviews — ``append`` on one would die deep inside with an
-        ``AttributeError``; failing here names the actual contract.
-        Mutation also invalidates the :meth:`snapshots` memo, so it is
-        dropped before any column changes.
-        """
-        if not isinstance(self.pc, array):
-            raise TypeError(
-                f"ColumnarTrace {self.name!r} is read-only "
-                f"(attached from a shared segment)"
-            )
+    def _drop_snapshots(self) -> None:
+        """Invalidate the :meth:`snapshots` memo before a mutation."""
         self._snapshots = None
 
     @classmethod
@@ -186,18 +158,23 @@ class ColumnarTrace:
     def from_columns(cls, name: str, columns: dict) -> "ColumnarTrace":
         """Adopt pre-built columns: the v2 deserializer's entry point.
 
-        Columns are normally ``array.array``\\ s; typed memoryviews
-        (e.g. cast over a shared-memory segment) are accepted too and
-        produce a read-only trace.
+        Every column must be an ``array.array`` of its ``COLUMNS``
+        typecode; anything else raises :class:`ValueError` naming the
+        column, since the input comes from outside the program.
         """
         out = cls(name)
         n = len(columns["pc"])
         for attr, typecode in COLUMNS:
             col = columns[attr]
-            if column_typecode(col) != typecode:
+            if not isinstance(col, array):
+                raise ValueError(
+                    f"column {attr!r}: expected array.array, "
+                    f"got {type(col).__name__}"
+                )
+            if col.typecode != typecode:
                 raise ValueError(
                     f"column {attr!r}: expected typecode {typecode!r}, "
-                    f"got {column_typecode(col)!r}"
+                    f"got {col.typecode!r}"
                 )
             setattr(out, attr, col)
         if len(columns["values_hi"]) != len(columns["values_lo"]):
@@ -281,12 +258,12 @@ class ColumnarTrace:
         """Plain-list snapshots of every column, memoized per trace.
 
         The simulate() loop indexes columns millions of times;
-        ``array.array`` (and memoryview) indexing boxes a fresh int on
-        every read, while a plain list returns the already-boxed
-        object.  ``tolist()`` converts at C speed once — and because a
-        trace is immutable for the duration of a sweep group, the
-        lists are cached here so *every scheme* simulated over the same
-        trace shares one conversion instead of paying it per run.
+        ``array.array`` indexing boxes a fresh int on every read, while
+        a plain list returns the already-boxed object.  ``tolist()``
+        converts at C speed once — and because a worker's memoized
+        trace is not mutated between cells, the lists are cached here
+        so *every scheme* simulated over the same trace shares one
+        conversion instead of paying it per run.
         Mutation (:meth:`append`/:meth:`extend`) drops the memo.
 
         Returns the columns in ``COLUMNS`` order as a tuple of lists.

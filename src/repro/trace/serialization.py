@@ -147,7 +147,7 @@ def _chunks_of(source: Trace | ColumnarTrace, chunk_size: int) -> Iterator[Colum
     as-is: its columns *are* the wire format, so re-materializing an
     ``Instruction`` view per row just to append it into an identical
     container would cost ~10x the serialization itself (this is the
-    path ``v2_bytes`` — and with it every fabric publish — takes).
+    path every trace-cache write of a generated trace takes).
     """
     if isinstance(source, ColumnarTrace) and len(source) <= chunk_size:
         if len(source):
@@ -175,12 +175,6 @@ def _save_trace_v2(
     ``build_workload(..., stream=True)`` — in which case nothing larger
     than one chunk is ever resident.
     """
-    with open(path, "wb") as fh:
-        _write_v2(fh, source, chunk_size)
-
-
-def _write_v2(fh, source, chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
-    """Stream the v2 byte layout into any binary file object."""
     name: str | None = None
     if isinstance(source, (Trace, ColumnarTrace)):
         # The name is known up front, so even a zero-instruction trace
@@ -189,30 +183,31 @@ def _write_v2(fh, source, chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
         chunks: Iterable[ColumnarTrace] = _chunks_of(source, chunk_size)
     else:
         chunks = iter(source)
-    total = 0
-    wrote_header = False
-    if name is not None:
-        fh.write(_MAGIC_V2)
-        fh.write(f"{name} {_platform_itemsizes()}\n".encode())
-        wrote_header = True
-    for chunk in chunks:
-        if not wrote_header:
+    with open(path, "wb") as fh:
+        total = 0
+        wrote_header = False
+        if name is not None:
             fh.write(_MAGIC_V2)
-            fh.write(f"{chunk.name} {_platform_itemsizes()}\n".encode())
+            fh.write(f"{name} {_platform_itemsizes()}\n".encode())
             wrote_header = True
-        n = len(chunk)
-        if not n:
-            continue
-        total += n
-        fh.write(_U32.pack(n))
-        for attr, _ in COLUMNS:
-            data = _column_bytes(getattr(chunk, attr))
-            fh.write(_U64.pack(len(data)))
-            fh.write(data)
-    if not wrote_header:
-        raise ValueError("cannot serialize an empty chunk stream (no name)")
-    fh.write(_U32.pack(_CHUNK_END))
-    fh.write(_U64.pack(total))
+        for chunk in chunks:
+            if not wrote_header:
+                fh.write(_MAGIC_V2)
+                fh.write(f"{chunk.name} {_platform_itemsizes()}\n".encode())
+                wrote_header = True
+            n = len(chunk)
+            if not n:
+                continue
+            total += n
+            fh.write(_U32.pack(n))
+            for attr, _ in COLUMNS:
+                data = _column_bytes(getattr(chunk, attr))
+                fh.write(_U64.pack(len(data)))
+                fh.write(data)
+        if not wrote_header:
+            raise ValueError("cannot serialize an empty chunk stream (no name)")
+        fh.write(_U32.pack(_CHUNK_END))
+        fh.write(_U64.pack(total))
 
 
 def _platform_itemsizes() -> str:
@@ -221,84 +216,6 @@ def _platform_itemsizes() -> str:
     return ":".join(
         str(array(tc).itemsize) for tc in sorted({tc for _, tc in COLUMNS})
     )
-
-
-def v2_bytes(trace: Trace | ColumnarTrace) -> bytes:
-    """The whole trace as one *single-chunk* v2 image, in memory.
-
-    This is the payload :mod:`repro.trace.share` copies into a shared
-    segment: exactly the on-disk v2 format, but with every column in
-    one contiguous frame so :func:`map_v2_columns` can hand out
-    zero-copy views.  Peak memory is one extra copy of the columns —
-    fine for sweep-scale traces; stream to a file for anything bigger.
-    """
-    import io
-
-    buf = io.BytesIO()
-    _write_v2(buf, trace, chunk_size=max(1, len(trace)))
-    return buf.getvalue()
-
-
-def map_v2_columns(buf) -> tuple[str, int, dict[str, tuple[int, int]]]:
-    """Column offsets of a single-chunk v2 image, without copying it.
-
-    ``buf`` is any buffer holding bytes produced by :func:`v2_bytes`
-    (a shared-memory segment, an mmap of a v2 file, plain bytes).
-    Returns ``(name, count, {column: (offset, nbytes)})`` — the
-    attacher casts ``memoryview(buf)[off:off + nbytes]`` per column,
-    which only works losslessly on little-endian hosts (the byte order
-    v2 is defined in), so big-endian platforms are rejected here the
-    same way a mismatched itemsize is.
-
-    Multi-chunk files are rejected: a shared segment is written as one
-    frame precisely so its columns are contiguous.
-    """
-    if sys.byteorder != "little":
-        raise ValueError(
-            "zero-copy v2 column mapping requires a little-endian host"
-        )
-    view = memoryview(buf)
-    magic_len = len(_MAGIC_V2)
-    if bytes(view[:magic_len]) != _MAGIC_V2:
-        raise ValueError("not a v2 trace image")
-    # header line: "<name> <itemsizes>\n", bounded by the format
-    head = bytes(view[magic_len:magic_len + 4096])
-    nl = head.find(b"\n")
-    if nl < 0:
-        raise ValueError("malformed v2 image: unterminated header")
-    parts = head[:nl].decode().split()
-    if len(parts) != 2:
-        raise ValueError(f"malformed v2 header: {head[:nl]!r}")
-    name, itemsizes = parts
-    if itemsizes != _platform_itemsizes():
-        raise ValueError(
-            f"v2 image written with array itemsizes {itemsizes}, "
-            f"this platform has {_platform_itemsizes()}"
-        )
-    pos = magic_len + nl + 1
-    count = _U32.unpack_from(view, pos)[0]
-    pos += _U32.size
-    offsets: dict[str, tuple[int, int]] = {}
-    if count != _CHUNK_END:
-        for attr, _ in COLUMNS:
-            nbytes = _U64.unpack_from(view, pos)[0]
-            pos += _U64.size
-            offsets[attr] = (pos, nbytes)
-            pos += nbytes
-        terminator = _U32.unpack_from(view, pos)[0]
-        if terminator != _CHUNK_END:
-            raise ValueError(
-                "v2 image has more than one chunk; shared segments are "
-                "written single-chunk"
-            )
-        pos += _U32.size
-    footer = _U64.unpack_from(view, pos)[0]
-    if footer != count:
-        raise ValueError(
-            f"v2 image footer declares {footer} instructions, "
-            f"chunk holds {count}"
-        )
-    return name, count, offsets
 
 
 def _read_exact(fh, n: int) -> bytes:

@@ -331,6 +331,20 @@ def test_from_columns_validates_flat_lengths():
         ColumnarTrace.from_columns("bad", truncated)
 
 
+@pytest.mark.parametrize("as_foreign", [list, memoryview],
+                         ids=["list", "memoryview"])
+def test_from_columns_rejects_non_array_column(as_foreign):
+    """A column that is not an ``array.array`` is a ValueError naming
+    the column, not an AttributeError from deep inside the check."""
+    from repro.trace.columnar import COLUMNS
+
+    good = build_workload_columnar("gzip", 100)
+    columns = {attr: getattr(good, attr) for attr, _ in COLUMNS}
+    columns["mem_addr"] = as_foreign(columns["mem_addr"])
+    with pytest.raises(ValueError, match="'mem_addr'"):
+        ColumnarTrace.from_columns("foreign", columns)
+
+
 # ---------------------------------------------------------------------------
 # summary counts atomics (regression: ATOMIC was dropped from the
 # memory-op accounting)

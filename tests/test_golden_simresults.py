@@ -23,6 +23,8 @@ from pathlib import Path
 import pytest
 
 from repro.pipeline.core_model import simulate
+from repro.runtime.cache import ResultCache
+from repro.runtime.jobs import trace_cache_key
 from repro.runtime.registry import get_scheme
 from repro.workloads import SUITE, build_workload, build_workload_columnar
 
@@ -31,37 +33,31 @@ INSTRUCTIONS = 3_000
 SCHEMES = ("baseline", "dlvp", "cap", "vtage", "dvtage", "tournament")
 
 _TRACES: dict[tuple[str, str], object] = {}
-_STORE = None
-_HANDLES: list[object] = []
+_CACHE: ResultCache | None = None
 
 
-def _shared_trace(workload: str):
-    """Publish the columnar trace and re-attach it through the fabric.
+def _cached_trace(workload: str):
+    """Round-trip the columnar trace through the on-disk trace cache.
 
-    The attached trace is memoryview-backed over the live segment, so
-    this leg proves the zero-copy path — not a reconstruction of it.
+    This is exactly what a worker simulates on a trace-cache hit
+    (``trace_source == "cache"``): the generated trace written by
+    :meth:`ResultCache.put_trace` and read back, v2-decoded, by
+    :meth:`ResultCache.get_trace_columnar`.
     """
-    global _STORE
-    from repro.trace.share import TraceStore
-
-    if _STORE is None:
-        _STORE = TraceStore()
-    ref = _STORE.publish(f"golden/{workload}", _trace(workload, "columnar"))
-    handle = _STORE.attach(ref)
-    _HANDLES.append(handle)
-    return handle.trace
+    assert _CACHE is not None, "trace-cache fixture not active"
+    key = trace_cache_key(workload, INSTRUCTIONS)
+    _CACHE.put_trace(key, _trace(workload, "columnar"))
+    trace = _CACHE.get_trace_columnar(key)
+    assert trace is not None
+    return trace
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _fabric_cleanup():
+def _trace_cache(tmp_path_factory):
+    global _CACHE
+    _CACHE = ResultCache(tmp_path_factory.mktemp("golden-trace-cache"))
     yield
-    global _STORE
-    for handle in _HANDLES:
-        handle.close()
-    _HANDLES.clear()
-    if _STORE is not None:
-        _STORE.close()
-        _STORE = None
+    _CACHE = None
 
 
 def kernel_representatives() -> list[tuple[str, str]]:
@@ -77,7 +73,7 @@ def _trace(workload: str, trace_input: str = "object"):
     trace = _TRACES.get(key)
     if trace is None:
         if trace_input == "shared":
-            trace = _shared_trace(workload)
+            trace = _cached_trace(workload)
         elif trace_input == "columnar":
             trace = build_workload_columnar(workload, INSTRUCTIONS)
         else:
@@ -125,10 +121,10 @@ def test_simresult_bit_identical(goldens, workload, scheme_id, trace_input):
     There is one engine; the legs differ in what is handed to it.  The
     ``object`` leg passes a :class:`~repro.trace.Trace`, which
     ``simulate()`` converts on entry.  The ``columnar`` leg passes the
-    array-backed trace the runtime generates and caches (its input with
-    the fabric off).  The ``shared`` leg simulates straight off a
-    memoryview-backed trace attached from the shared-memory fabric,
-    which is what licenses workers to attach instead of rebuilding.
+    array-backed trace a worker generates (``trace_source == "built"``).
+    The ``shared`` leg simulates the trace read back from the shared
+    on-disk trace cache (``trace_source == "cache"``), which is what
+    licenses workers to load a cached trace instead of rebuilding.
     """
     golden = goldens["cells"][f"{workload}/{scheme_id}"]
     assert simulate_cell(workload, scheme_id, trace_input) == golden

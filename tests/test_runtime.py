@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -25,6 +26,7 @@ from repro.runtime import (
     scheme_ids,
     trace_cache_key,
 )
+from repro.runtime.jobs import _TRACE_MEMO
 from repro.workloads import build_workload
 
 WORKLOADS = ["gzip", "nat"]
@@ -109,45 +111,71 @@ class TestJobKeys:
 
 class TestRecordsWithRetiredTraceRepresentationField:
     """Journals and serve tickets written while jobs still carried a
-    trace-representation field (``"trace_format"``) must keep loading:
-    gateway recovery and ``--resume`` across the upgrade depend on it."""
+    trace-representation field must keep loading: gateway recovery and
+    ``--resume`` across the upgrade depend on it.  Two fields retired:
+    ``"trace_format"`` (object vs columnar engine) and ``"trace_ref"``
+    (the shared-memory trace attach ref), whose journals also hold
+    ``trace_published``/``fabric_orphans_removed`` events and
+    ``trace_source: "shared"`` finishes."""
+
+    LEGACY_FIELDS = (
+        {"trace_format": "object"},
+        {"trace_ref": "shm:repro-trace-1234-0"},
+    )
 
     @staticmethod
-    def _legacy(fields: dict) -> dict:
-        return {**fields, "trace_format": "object"}
+    def _legacy_journal(events: list[dict], extra: dict) -> list[dict]:
+        out = []
+        for event in events:
+            if event["event"] == "job_submitted":
+                event = {**event, **extra}
+            elif event["event"] == "job_finished" and "trace_ref" in extra:
+                event = {**event, "trace_source": "shared"}
+            elif event["event"] == "run_started" and "trace_ref" in extra:
+                out.append({**event, "event": "fabric_orphans_removed",
+                            "segments": 1})
+                out.append(event)
+                event = {**event, "event": "trace_published",
+                         "trace_key": "t", "ref": extra["trace_ref"],
+                         "workload": "gzip", "n_instructions": N,
+                         "cells": 1}
+            out.append(event)
+        return out
 
     def test_job_from_identity_keeps_the_key(self):
         job = make_job("gzip", N, "dlvp")
-        legacy = self._legacy(job.identity())
-        restored = job_from_identity(legacy)
-        assert restored.key == job.key == legacy["key"]
-        assert restored == job
+        for extra in self.LEGACY_FIELDS:
+            legacy = {**job.identity(), **extra}
+            restored = job_from_identity(legacy)
+            assert restored.key == job.key == legacy["key"], extra
+            assert restored == job, extra
 
     def test_resume_replays_legacy_journal_without_executing(self, tmp_path):
-        path = tmp_path / "legacy.jsonl"
+        path = tmp_path / "fresh.jsonl"
         first = Runtime(jobs=1, use_cache=False, journal_path=path)
         grid = first.run_grid(["dlvp"], ["gzip"], N)
         first.journal.close()
         events = read_journal(path)
-        submitted = [e for e in events if e["event"] == "job_submitted"]
-        assert submitted
-        path.write_text("".join(
-            json.dumps(self._legacy(e) if e["event"] == "job_submitted" else e)
-            + "\n"
-            for e in events
-        ))
-        for event in read_journal(path):
-            if event["event"] == "job_submitted":
-                assert event["trace_format"] == "object"
-                assert job_from_identity(event).key == event["key"]
+        assert any(e["event"] == "job_submitted" for e in events)
 
-        second = Runtime(jobs=1, use_cache=False, resume_from=path)
-        grid2 = second.run_grid(["dlvp"], ["gzip"], N)
-        summary = second.journal.summary()
-        assert summary["resumed"] == 1
-        assert summary["executed"] == 0
-        assert second.journal.count("job_started") == 0
-        assert grid2.result("dlvp", "gzip") == grid.result("dlvp", "gzip")
+        for n, extra in enumerate(self.LEGACY_FIELDS):
+            legacy = tmp_path / f"legacy{n}.jsonl"
+            legacy.write_text("".join(
+                json.dumps(e) + "\n"
+                for e in self._legacy_journal(events, extra)
+            ))
+            for event in read_journal(legacy):
+                if event["event"] == "job_submitted":
+                    assert extra.items() <= event.items()
+                    assert job_from_identity(event).key == event["key"]
+
+            second = Runtime(jobs=1, use_cache=False, resume_from=legacy)
+            grid2 = second.run_grid(["dlvp"], ["gzip"], N)
+            summary = second.journal.summary()
+            assert summary["resumed"] == 1, extra
+            assert summary["executed"] == 0, extra
+            assert second.journal.count("job_started") == 0, extra
+            assert grid2.result("dlvp", "gzip") == grid.result("dlvp", "gzip")
 
 
 class TestSimResultRoundTrip:
@@ -361,12 +389,75 @@ class TestExecutors:
         assert crashed.status == "error"
         assert "worker process died" in crashed.error
 
+    def test_cached_serial_and_parallel_grids_identical(self, tmp_path):
+        """Workers that load traces from the trace cache settle the same
+        grid as the serial run that built and cached them."""
+        schemes = ["baseline", "dlvp", "cap"]
+        serial = Runtime(jobs=1, cache_dir=tmp_path)
+        reference = serial.run_grid(schemes, WORKLOADS, N)
+        shutil.rmtree(tmp_path / "results")    # keep only the traces
+        parallel = Runtime(jobs=2, cache_dir=tmp_path)
+        grid = parallel.run_grid(schemes, WORKLOADS, N)
+        assert not grid.failures()
+        assert {o.trace_source for o in grid.cells.values()} <= {"cache", "memo"}
+        assert "cache" in {o.trace_source for o in grid.cells.values()}
+        for scheme in schemes:
+            assert (grid.scheme_results(scheme)
+                    == reference.scheme_results(scheme))
+
+    def test_crash_spares_cells_sharing_its_trace(self, tmp_path):
+        """A cell that kills its worker after the trace was acquired
+        fails alone; the cells over the same trace settle ok."""
+        runtime = Runtime(jobs=2, cache_dir=tmp_path, retries=1)
+        jobs = [
+            make_job("gzip", N, "baseline"),
+            make_job("gzip", N, "test/dies"),
+            make_job("gzip", N, "dlvp"),
+        ]
+        outcomes = runtime.run_jobs(jobs)
+        assert outcomes[jobs[0].key].status == "ok"
+        assert outcomes[jobs[2].key].status == "ok"
+        crashed = outcomes[jobs[1].key]
+        assert crashed.status == "error"
+        assert "worker process died" in crashed.error
+
     def test_executor_objects_run_raw_jobs(self):
         job = make_job("gzip", N, "baseline")
         serial = SerialExecutor().run([job])
         parallel = ParallelExecutor(max_workers=2).run([job])
         assert serial[0].ok and parallel[0].ok
         assert serial[0].result == parallel[0].result
+
+
+class TestTraceMemoAcrossRetries:
+    @pytest.fixture(autouse=True)
+    def _fresh_memo(self):
+        _TRACE_MEMO.clear()
+        yield
+        _TRACE_MEMO.clear()
+
+    def test_retry_reuses_first_attempts_trace(self, tmp_path):
+        """Fails before the memo: attempt 2 used to rebuild the trace.
+
+        With ``use_cache=False`` there is no trace cache to hide behind;
+        only the in-worker memo can make the second attempt's
+        ``trace_source`` read ``"memo"`` — and the journal must show the
+        build happened exactly once.
+        """
+        journal_path = tmp_path / "retry.jsonl"
+        runtime = Runtime(jobs=1, use_cache=False, retries=1,
+                          journal_path=journal_path,
+                          faults="raise@gzip/dlvp:1")
+        outcomes = runtime.run_jobs([make_job("gzip", N, "dlvp")])
+        (outcome,) = outcomes.values()
+        assert outcome.status == "ok"
+        assert outcome.attempts == 2
+        events = read_journal(journal_path)
+        built = [e for e in events if e["event"] == "trace_built"]
+        assert len(built) == 1
+        assert built[0]["attempt"] == 1
+        finished = [e for e in events if e["event"] == "job_finished"]
+        assert finished[-1]["trace_source"] == "memo"
 
 
 class TestJournal:
