@@ -116,19 +116,23 @@ def _runtime_from_args(
     journal_path = args.journal
     if journal_path is None and not args.no_cache:
         journal_path = cache_dir / "last-run.jsonl"
-    return Runtime(
-        jobs=args.jobs,
-        cache_dir=cache_dir,
-        use_cache=not args.no_cache,
-        journal_path=journal_path,
-        timeout=args.timeout,
-        retries=args.retries,
-        backoff=args.backoff,
-        timeout_factor=args.timeout_escalation,
-        faults=faults,
-        resume_from=args.resume,
-        trace_dir=getattr(args, "trace", None),
-    )
+    try:
+        return Runtime(
+            jobs=args.jobs,
+            cache_dir=cache_dir,
+            use_cache=not args.no_cache,
+            journal_path=journal_path,
+            timeout=args.timeout,
+            retries=args.retries,
+            backoff=args.backoff,
+            timeout_factor=args.timeout_escalation,
+            faults=faults,
+            resume_from=args.resume,
+            trace_dir=getattr(args, "trace", None),
+        )
+    except ValueError as exc:      # a usage error, like argparse's
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _interrupted(grid_or_exc) -> int:

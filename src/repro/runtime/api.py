@@ -90,7 +90,9 @@ class Runtime:
             its bounded attempts) with its timeout multiplied by this.
         faults: A :class:`~repro.faults.FaultPlan` or spec string for
             deterministic fault injection; None falls back to
-            ``$REPRO_FAULT_SPEC`` (normally unset: no faults).
+            ``$REPRO_FAULT_SPEC`` (normally unset: no faults).  A plan
+            with any ``crash`` rule raises :class:`ValueError` at
+            ``jobs=1``, whose cells run in this process.
         resume_from: A journal path (or pre-read event list) whose
             completed jobs should be skipped and replayed from their
             journaled result payloads.
@@ -118,6 +120,16 @@ class Runtime:
         trace_dir: str | Path | None = None,
     ) -> None:
         self.jobs = max(1, jobs)
+        if isinstance(faults, str):
+            faults = FaultPlan.parse(faults)
+        self.faults = faults if faults is not None else active_plan()
+        if self.jobs == 1 and self.faults is not None and any(
+            rule.kind == "crash" for rule in self.faults.rules
+        ):
+            raise ValueError(
+                "crash faults need --jobs >= 2: a crash kills the process "
+                "running the cell, and --jobs 1 runs cells in this one"
+            )
         self.trace_dir = str(trace_dir) if trace_dir is not None else None
         self.cache = (
             ResultCache(
@@ -129,9 +141,6 @@ class Runtime:
         )
         self.journal = journal if journal is not None else RunJournal(journal_path)
         self.timeout = timeout
-        if isinstance(faults, str):
-            faults = FaultPlan.parse(faults)
-        self.faults = faults if faults is not None else active_plan()
         self._resume = (
             completed_results(resume_from) if resume_from is not None else {}
         )

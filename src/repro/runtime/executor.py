@@ -1,27 +1,38 @@
-"""Executors — run jobs serially or across a process pool.
+"""Executors — one attempt state machine, three transports.
 
-Two interchangeable drivers with identical semantics and results:
+Every executor runs the same retry policy, :class:`_FailurePolicy`:
+:meth:`~_FailurePolicy.begin` charges an attempt, waits out its backoff
+and emits ``job_started``; the executor's transport turns the attempt
+into a worker envelope or an exception; :meth:`~_FailurePolicy.resolve`
+turns that into a terminal :class:`JobOutcome` (ok, timeout, or an
+error, a dead worker included) or into a retry.  The executors differ
+only in transport:
 
-* :class:`SerialExecutor` — in-process, one job at a time.  No worker
-  processes, so it is the ``--jobs 1`` default and the safe choice on
-  platforms where ``fork`` is unavailable (Windows) or undesirable.
-* :class:`ParallelExecutor` — a ``concurrent.futures``
-  ``ProcessPoolExecutor`` fan-out with per-job timeouts, bounded
-  retries, and crash isolation: a worker dying (segfault, ``os._exit``,
-  OOM kill) breaks only its own cell, not the run — the pool is rebuilt
-  and the surviving jobs resubmitted, while a job that repeatedly kills
-  its worker exhausts its attempts and is reported as failed.
+* :class:`SerialExecutor` — inline: the cell runs in the calling
+  process, one at a time.  No worker processes, so it is the
+  ``--jobs 1`` default and the safe choice where ``fork`` is
+  unavailable (Windows).  A crash fault would kill the caller, so
+  :class:`~repro.runtime.Runtime` refuses crash faults at ``jobs=1``.
+* :class:`JobLease` — one dedicated single-worker pool running one cell
+  at a time, with heartbeats and :meth:`~JobLease.cancel` /
+  :meth:`~JobLease.reap` hooks.  A dying worker indicts exactly its own
+  cell.  It is the unit the :mod:`repro.serve` scheduler hands out.
+* :class:`ParallelExecutor` — a shared ``ProcessPoolExecutor``
+  fan-out, the fast path while no worker dies.  A worker dying
+  (segfault, ``os._exit``, OOM kill) breaks the whole pool and blame is
+  ambiguous, so the pool's unsettled cells are handed to up to
+  ``max_workers`` leases, which assign blame exactly.  A cell that
+  repeatedly kills its worker exhausts its attempts and fails alone.
 
-A third driver, :class:`JobLease`, is the leasable unit behind the
-:mod:`repro.serve` scheduler: one dedicated single-worker pool running
-one job at a time, with the same failure policy and a :meth:`cancel`
-hook for graceful server shutdown.
+The policy:
 
-Shared failure policy (both drivers):
-
-* **Deterministic retry backoff** — attempt *n*'s resubmission is
-  delayed by ``backoff * 2**(n-1)`` seconds, a fixed schedule with no
-  jitter so chaos runs and their journals are reproducible.
+* **Bounded retries** — an attempt that raised or killed its worker is
+  retried while the cell has attempts left (``retries`` extra).
+* **Deterministic per-cell backoff** — attempt *n* starts no earlier
+  than ``backoff * 2**(n-2)`` seconds after attempt *n-1* failed, a
+  fixed schedule with no jitter so chaos runs and their journals are
+  reproducible.  Each cell waits only its own delay: cells retrying in
+  one round wait concurrently.
 * **Timeout escalation** — with ``timeout_factor`` set, a timed-out
   job is retried (within its bounded attempts) with its timeout
   multiplied by the factor, which turns "this cell is slow today" into
@@ -29,7 +40,8 @@ Shared failure policy (both drivers):
 * **Graceful interruption** — a ``KeyboardInterrupt`` (Ctrl-C, or
   SIGTERM converted by the runtime) stops scheduling, cancels what it
   can, and returns the completed outcomes with the rest marked
-  ``"interrupted"`` — callers keep (and cache) the finished cells.
+  ``"interrupted"``, each with the attempts it used — callers keep
+  (and cache) the finished cells.
 
 Timeouts are enforced *inside* the worker via ``SIGALRM`` (each pool
 worker runs jobs on its main thread), so a timed-out job ends cleanly
@@ -41,14 +53,19 @@ one-time :class:`RuntimeWarning` makes the degradation visible.
 from __future__ import annotations
 
 import multiprocessing
+import queue
 import signal
 import threading
 import time
 import traceback
 import warnings
 from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures import TimeoutError as PoolWaitTimeout
+from concurrent.futures import (
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+    as_completed,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
@@ -176,8 +193,8 @@ def _pool_context():
     time, while the pool's own queue-feeder and manager threads are
     live — a worker forked while one of those threads holds a lock
     inherits it held-forever and deadlocks on first acquire (observed
-    intermittently under heavy pool churn, e.g. crash-isolation
-    rounds).  ``forkserver`` forks every worker from a clean,
+    intermittently under heavy pool churn, e.g. leases rebuilding
+    pools after crashes).  ``forkserver`` forks every worker from a clean,
     single-threaded server process, which eliminates the entire class;
     preloading this module keeps the per-worker cost at a plain fork
     after the server's one-time warm import.  Falls back to the
@@ -203,10 +220,12 @@ def _make_pool(max_workers: int) -> ProcessPoolExecutor:
 class _Attempt:
     job: Job
     attempts: int = 0
+    # monotonic time before which the next attempt may not start
+    retry_at: float = 0.0
 
 
 class _FailurePolicy:
-    """Retry/backoff/escalation knobs shared by both executors."""
+    """The attempt state machine every executor runs (see module docs)."""
 
     def __init__(
         self,
@@ -218,10 +237,56 @@ class _FailurePolicy:
         self.backoff = max(0.0, backoff)
         self.timeout_factor = timeout_factor
 
-    def backoff_before(self, attempt: int) -> None:
-        """Deterministic exponential delay before retry ``attempt``."""
-        if self.backoff > 0.0 and attempt > 1:
-            time.sleep(self.backoff * 2 ** (attempt - 2))
+    def begin(self, state: _Attempt, events: EventFn) -> None:
+        """Charge the next attempt, wait out its backoff, announce it."""
+        state.attempts += 1
+        delay = state.retry_at - time.monotonic()
+        if delay > 0:
+            time.sleep(delay)
+        events("job_started", state.job, {"attempt": state.attempts})
+
+    def resolve(
+        self,
+        state: _Attempt,
+        result: dict | BaseException,
+        duration: float,
+        events: EventFn,
+    ) -> JobOutcome | None:
+        """Settle one attempt from its worker envelope or exception.
+
+        Returns the cell's terminal outcome, or None to retry it.
+        ``duration`` is parent-measured and only used for failures;
+        successful jobs carry their worker-measured duration in the
+        envelope, which excludes pool queue wait.  A
+        ``BrokenProcessPool`` here must indict this cell alone (an
+        inline or single-worker transport).
+        """
+        job = state.job
+        if not isinstance(result, BaseException):
+            built = result.get("trace_built_attempt")
+            if built is not None:
+                events("trace_built", job, {"attempt": built})
+            return JobOutcome(
+                job, "ok", result=result_from_payload(result["result"]),
+                duration=result["duration"], attempts=state.attempts,
+                trace_source=result.get("trace_source"),
+            )
+        if isinstance(result, JobTimeoutError):
+            if not self.escalate_timeout(state):
+                return JobOutcome(job, "timeout", error=str(result),
+                                  duration=duration, attempts=state.attempts)
+        elif state.attempts > self.retries:
+            error = (
+                "worker process died (crash or kill)"
+                if isinstance(result, BrokenProcessPool)
+                else _format_error(result)
+            )
+            return JobOutcome(job, "error", error=error, duration=duration,
+                              attempts=state.attempts)
+        state.retry_at = (
+            time.monotonic() + self.backoff * 2 ** (state.attempts - 1)
+        )
+        return None
 
     def escalate_timeout(self, state: _Attempt) -> bool:
         """Retry a timed-out attempt with a scaled timeout, if enabled."""
@@ -238,7 +303,7 @@ class _FailurePolicy:
 
 
 class SerialExecutor(_FailurePolicy):
-    """Run jobs one at a time in the calling process."""
+    """Run jobs one at a time in the calling process (inline transport)."""
 
     def run(
         self,
@@ -250,65 +315,35 @@ class SerialExecutor(_FailurePolicy):
     ) -> list[JobOutcome]:
         events = events or _no_events
         on_outcome = on_outcome or _no_outcome
-        outcomes = []
+        outcomes: list[JobOutcome] = []
+        state: _Attempt | None = None
         try:
             for job in jobs:
-                outcome = self._run_one(job, cache_dir, events, fault_spec)
+                state = _Attempt(job)
+                outcome = None
+                while outcome is None:
+                    self.begin(state, events)
+                    started = time.monotonic()
+                    try:
+                        result = _worker_run(state.job, cache_dir,
+                                             state.attempts, fault_spec)
+                    except Exception as exc:
+                        result = exc
+                    outcome = self.resolve(state, result,
+                                           time.monotonic() - started, events)
                 on_outcome(outcome)
                 outcomes.append(outcome)
         except KeyboardInterrupt:
             for job in jobs[len(outcomes):]:
+                # the cell that was running keeps the attempts it used
+                running = state is not None and state.job.key == job.key
                 outcome = JobOutcome(
-                    job, "interrupted", error=INTERRUPTED_ERROR, attempts=0,
+                    job, "interrupted", error=INTERRUPTED_ERROR,
+                    attempts=state.attempts if running else 0,
                 )
                 on_outcome(outcome)
                 outcomes.append(outcome)
         return outcomes
-
-    def _run_one(
-        self,
-        job: Job,
-        cache_dir: str | None,
-        events: EventFn,
-        fault_spec: str | None,
-    ) -> JobOutcome:
-        state = _Attempt(job)
-        while True:
-            state.attempts += 1
-            self.backoff_before(state.attempts)
-            events("job_started", state.job, {"attempt": state.attempts})
-            started = time.monotonic()
-            try:
-                envelope = _worker_run(state.job, cache_dir, state.attempts,
-                                       fault_spec)
-            except JobTimeoutError as exc:
-                if self.escalate_timeout(state):
-                    continue
-                return JobOutcome(
-                    job, "timeout", error=str(exc),
-                    duration=time.monotonic() - started,
-                    attempts=state.attempts,
-                )
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:
-                if state.attempts <= self.retries:
-                    continue
-                return JobOutcome(
-                    job, "error", error=_format_error(exc),
-                    duration=time.monotonic() - started,
-                    attempts=state.attempts,
-                )
-            else:
-                built = envelope.get("trace_built_attempt")
-                if built is not None:
-                    events("trace_built", job, {"attempt": built})
-                return JobOutcome(
-                    job, "ok",
-                    result=result_from_payload(envelope["result"]),
-                    duration=envelope["duration"], attempts=state.attempts,
-                    trace_source=envelope.get("trace_source"),
-                )
 
 
 class JobLease(_FailurePolicy):
@@ -317,10 +352,12 @@ class JobLease(_FailurePolicy):
 
     This is the executor-side unit the :mod:`repro.serve` scheduler
     hands out — it holds ``workers`` leases and feeds each from its
-    fairness queue.  Because every lease owns its own single-worker
-    pool, a crashing job breaks only that pool (rebuilt lazily for the
-    next attempt) and blame is never ambiguous the way it is in a
-    shared pool; a neighbouring tenant's cell is untouchable.
+    fairness queue — and where :class:`ParallelExecutor` finishes the
+    cells of a broken pool.  Because every lease owns its own
+    single-worker pool, a crashing job breaks only that pool (rebuilt
+    lazily for the next attempt) and blame is never ambiguous the way
+    it is in a shared pool; a neighbouring tenant's cell is
+    untouchable.
 
     :meth:`run_one` is synchronous and never raises for job failures —
     it always returns a terminal :class:`JobOutcome` — so callers can
@@ -352,6 +389,9 @@ class JobLease(_FailurePolicy):
         self.heartbeat = heartbeat if heartbeat and heartbeat > 0 else None
         self._pool: ProcessPoolExecutor | None = None
         self._cancelled = False
+        # Serializes pool creation + submit against reap()/close(), so
+        # a cancel() can never miss the worker of an attempt it races.
+        self._lock = threading.Lock()
 
     def run_one(
         self,
@@ -361,102 +401,60 @@ class JobLease(_FailurePolicy):
         fault_spec: str | None = None,
     ) -> JobOutcome:
         """Run one job to a terminal outcome (never raises job errors)."""
-        events = events or _no_events
-        state = _Attempt(job)
-        while True:
-            if self._cancelled:
-                return JobOutcome(
-                    state.job, "interrupted", error=INTERRUPTED_ERROR,
-                    attempts=state.attempts,
-                )
-            state.attempts += 1
-            self.backoff_before(state.attempts)
-            events("job_started", state.job, {"attempt": state.attempts})
-            if self._pool is None:
-                self._pool = _make_pool(1)
+        return self._drive(_Attempt(job), cache_dir, events or _no_events,
+                           fault_spec)
+
+    def _drive(
+        self,
+        state: _Attempt,
+        cache_dir: str | None,
+        events: EventFn,
+        fault_spec: str | None,
+    ) -> JobOutcome:
+        """Run a cell's remaining attempts, continuing its attempt count."""
+        while not self._cancelled:
+            self.begin(state, events)
             started = time.monotonic()
             try:
-                future = self._pool.submit(
-                    _worker_run, state.job, cache_dir, state.attempts,
-                    fault_spec,
-                )
-                if self.heartbeat is None:
-                    envelope = future.result()
-                else:
-                    while True:
-                        try:
-                            envelope = future.result(timeout=self.heartbeat)
-                            break
-                        except PoolWaitTimeout:
-                            events("worker_heartbeat", state.job, {
-                                "attempt": state.attempts,
-                                "elapsed": round(
-                                    time.monotonic() - started, 3),
-                            })
-            except BrokenProcessPool:
-                duration = time.monotonic() - started
+                result = self._attempt(state, cache_dir, events, fault_spec,
+                                       started)
+            except BrokenProcessPool as exc:
                 self.close()    # dead pool; the next attempt gets a new one
                 if self._cancelled:
-                    return JobOutcome(
-                        state.job, "interrupted", error=INTERRUPTED_ERROR,
-                        duration=duration, attempts=state.attempts,
-                    )
-                if state.attempts > self.retries:
-                    return JobOutcome(
-                        state.job, "error",
-                        error="worker process died (crash or kill)",
-                        duration=duration, attempts=state.attempts,
-                    )
-            except JobTimeoutError as exc:
-                if self.escalate_timeout(state):
-                    continue
-                return JobOutcome(
-                    state.job, "timeout", error=str(exc),
-                    duration=time.monotonic() - started,
-                    attempts=state.attempts,
-                )
+                    break
+                result = exc
             except Exception as exc:
-                if state.attempts > self.retries:
-                    return JobOutcome(
-                        state.job, "error", error=_format_error(exc),
-                        duration=time.monotonic() - started,
-                        attempts=state.attempts,
-                    )
-            else:
-                built = envelope.get("trace_built_attempt")
-                if built is not None:
-                    events("trace_built", state.job, {"attempt": built})
-                return JobOutcome(
-                    state.job, "ok",
-                    result=result_from_payload(envelope["result"]),
-                    duration=envelope["duration"], attempts=state.attempts,
-                    trace_source=envelope.get("trace_source"),
-                )
+                result = exc
+            outcome = self.resolve(state, result, time.monotonic() - started,
+                                   events)
+            if outcome is not None:
+                return outcome
+        return JobOutcome(state.job, "interrupted", error=INTERRUPTED_ERROR,
+                          attempts=state.attempts)
 
-    def run_group(
+    def _attempt(
         self,
-        jobs: Sequence[Job],
-        cache_dir: str | None = None,
-        events: EventFn | None = None,
-        fault_spec: str | None = None,
-    ) -> list[JobOutcome]:
-        """Run a trace group on this lease, one cell at a time.
-
-        The cells share the lease's persistent single-worker pool, so
-        the worker process acquires the trace once — trace cache or
-        build — and every later cell in the group hits the capacity-1
-        worker memo warm.  Cells run *sequentially* rather than as one
-        batched submission on purpose: each cell's
-        ``job_started`` fires as it actually begins executing (which is
-        what lets a serve-side watchdog attribute a hang to the right
-        cell instead of a waiting or finished groupmate), and retries,
-        fault injection, heartbeats and crash blame are exactly
-        :meth:`run_one`'s — a cell that kills the worker costs only its
-        own attempts, and the next cell gets a fresh (cold) pool.
-        """
-        events = events or _no_events
-        return [self.run_one(job, cache_dir, events, fault_spec)
-                for job in jobs]
+        state: _Attempt,
+        cache_dir: str | None,
+        events: EventFn,
+        fault_spec: str | None,
+        started: float,
+    ) -> dict:
+        """Submit one attempt to the lease's worker; wait for its envelope."""
+        with self._lock:
+            if self._cancelled:
+                # cancel() landed before there was a worker to kill
+                raise BrokenProcessPool(INTERRUPTED_ERROR)
+            if self._pool is None:
+                self._pool = _make_pool(1)
+            future = self._pool.submit(_worker_run, state.job, cache_dir,
+                                       state.attempts, fault_spec)
+        while not wait([future], timeout=self.heartbeat).done:
+            events("worker_heartbeat", state.job, {
+                "attempt": state.attempts,
+                "elapsed": round(time.monotonic() - started, 3),
+            })
+        return future.result()
 
     def cancel(self) -> None:
         """Abort the in-flight attempt: terminate the worker process.
@@ -481,9 +479,10 @@ class JobLease(_FailurePolicy):
         retry/backoff policy, or settles ``"error"`` once attempts are
         exhausted.  A hang therefore costs the cell, never the slot.
         """
-        pool = self._pool
-        if pool is not None:
-            for proc in list(getattr(pool, "_processes", {}).values()):
+        with self._lock:
+            pool = self._pool
+            processes = getattr(pool, "_processes", None) or {}
+            for proc in list(processes.values()):
                 try:
                     proc.terminate()
                 except (OSError, AttributeError):
@@ -491,22 +490,23 @@ class JobLease(_FailurePolicy):
 
     def close(self) -> None:
         """Shut the lease's pool down (rebuilt lazily on next use)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+        with self._lock:
+            if self._pool is not None:
+                self._pool.shutdown(wait=False, cancel_futures=True)
+                self._pool = None
 
 
 class ParallelExecutor(_FailurePolicy):
-    """Fan jobs out over a ``ProcessPoolExecutor``.
+    """Fan jobs out over a shared ``ProcessPoolExecutor``.
 
     Crash isolation: when a worker dies, ``ProcessPoolExecutor`` breaks
     the whole pool and every in-flight future fails with
     ``BrokenProcessPool`` — the parent cannot tell culprit from victim.
-    So a broken shared pool costs nobody an attempt; the survivors are
-    re-run in *isolation mode*, one single-worker pool per job, where a
-    dying worker indicts exactly one job.  A job that repeatedly kills
-    its worker exhausts its bounded attempts and becomes one failed
-    cell; everything else completes normally.
+    So a broken pool costs those cells nothing (their attempt is
+    uncharged), and every unsettled cell moves to up to
+    ``max_workers`` :class:`JobLease` s, where a dying worker indicts
+    exactly one cell.  Leases are the fallback only: a shared pool
+    costs less per cell while no worker dies.
     """
 
     def __init__(
@@ -533,37 +533,35 @@ class ParallelExecutor(_FailurePolicy):
         order = [job.key for job in jobs]
         pending = {job.key: _Attempt(job) for job in jobs}
         done: dict[str, JobOutcome] = {}
-        # At most one shared round can break (isolation latches on), and
-        # isolation rounds charge an attempt to every job they submit,
-        # so the loop terminates within retries + 2 rounds.
-        isolate = False
+
+        def settle(outcome: JobOutcome) -> None:
+            on_outcome(outcome)
+            done[outcome.job.key] = outcome
+            del pending[outcome.job.key]
+
+        # Every unbroken round charges each pending cell an attempt, and
+        # the leases settle every cell a broken round leaves, so this
+        # terminates within retries + 1 rounds.
         try:
             while pending:
-                if isolate:
-                    self._isolated_round(pending, done, cache_dir, events,
-                                         fault_spec, on_outcome)
-                else:
-                    isolate = self._shared_round(pending, done, cache_dir,
-                                                 events, fault_spec,
-                                                 on_outcome)
+                if self._shared_round(pending, settle, cache_dir, events,
+                                      fault_spec):
+                    self._lease_round(pending, settle, cache_dir, events,
+                                      fault_spec)
         except KeyboardInterrupt:
-            for state in pending.values():
-                outcome = JobOutcome(
-                    state.job, "interrupted", error=INTERRUPTED_ERROR,
-                    attempts=state.attempts,
-                )
-                on_outcome(outcome)
-                done[state.job.key] = outcome
+            for state in list(pending.values()):
+                settle(JobOutcome(state.job, "interrupted",
+                                  error=INTERRUPTED_ERROR,
+                                  attempts=state.attempts))
         return [done[key] for key in order]
 
     def _shared_round(
         self,
         pending: dict[str, _Attempt],
-        done: dict[str, JobOutcome],
+        settle: OutcomeFn,
         cache_dir: str | None,
         events: EventFn,
         fault_spec: str | None,
-        on_outcome: OutcomeFn,
     ) -> bool:
         """One pass through a shared pool; True if the pool broke."""
         pool = _make_pool(self.max_workers)
@@ -572,149 +570,92 @@ class ParallelExecutor(_FailurePolicy):
         settled = False
         try:
             for state in list(pending.values()):
-                state.attempts += 1
-                self.backoff_before(state.attempts)
-                events("job_started", state.job, {"attempt": state.attempts})
+                self.begin(state, events)
                 try:
                     future = pool.submit(_worker_run, state.job, cache_dir,
                                          state.attempts, fault_spec)
                 except BrokenProcessPool:
                     # died mid-submission; uncharge and leave the rest
-                    # of the batch for the isolation rounds
+                    # of the batch to the leases
                     state.attempts -= 1
                     broke = True
                     break
                 futures[future] = (state, time.monotonic())
             for future in as_completed(futures):
                 state, started = futures[future]
-                duration = time.monotonic() - started
                 try:
-                    payload = future.result()
+                    result = future.result()
                 except BrokenProcessPool:
                     # culprit unknown — uncharge the attempt and let the
-                    # isolation rounds assign blame
+                    # leases assign blame
                     state.attempts -= 1
                     broke = True
+                    continue
                 except Exception as exc:
-                    self._settle(state, None, exc, pending, done, duration,
-                                 on_outcome, events)
-                else:
-                    self._settle(state, payload, None, pending, done,
-                                 duration, on_outcome, events)
+                    result = exc
+                outcome = self.resolve(state, result,
+                                       time.monotonic() - started, events)
+                if outcome is not None:
+                    settle(outcome)
             settled = True
         finally:
             # Once every future has resolved, workers are idle or dead
             # and joining the pool's helper threads is cheap — and
-            # necessary before the isolation rounds fork fresh pools:
-            # forking while a dying pool's queue-feeder threads still
-            # hold their locks can deadlock the new workers.  Only an
+            # necessary before the leases fork fresh pools: forking
+            # while a dying pool's queue-feeder threads still hold
+            # their locks can deadlock the new workers.  Only an
             # interrupt (a worker may be mid-job) skips the join.
             pool.shutdown(wait=settled, cancel_futures=True)
         return broke
 
-    def _isolated_round(
+    def _lease_round(
         self,
         pending: dict[str, _Attempt],
-        done: dict[str, JobOutcome],
+        settle: OutcomeFn,
         cache_dir: str | None,
         events: EventFn,
         fault_spec: str | None,
-        on_outcome: OutcomeFn,
     ) -> None:
-        """Run each pending job in its own single-worker pool."""
-        states = list(pending.values())
-        for start in range(0, len(states), self.max_workers):
-            batch = states[start : start + self.max_workers]
-            pools: list[ProcessPoolExecutor] = []
-            futures = {}
-            settled = False
-            try:
-                for state in batch:
-                    state.attempts += 1
-                    self.backoff_before(state.attempts)
-                    events("job_started", state.job, {"attempt": state.attempts})
-                    pool = _make_pool(1)
-                    pools.append(pool)
-                    futures[pool.submit(_worker_run, state.job, cache_dir,
-                                        state.attempts, fault_spec)] = (
-                        state,
-                        time.monotonic(),
-                    )
-                for future in as_completed(futures):
-                    state, started = futures[future]
-                    duration = time.monotonic() - started
-                    try:
-                        payload = future.result()
-                    except BrokenProcessPool:
-                        # single-worker pool: this job *is* the culprit
-                        if state.attempts > self.retries:
-                            outcome = JobOutcome(
-                                state.job, "error",
-                                error="worker process died (crash or kill)",
-                                duration=duration, attempts=state.attempts,
-                            )
-                            on_outcome(outcome)
-                            done[state.job.key] = outcome
-                            del pending[state.job.key]
-                    except Exception as exc:
-                        self._settle(state, None, exc, pending, done,
-                                     duration, on_outcome, events)
-                    else:
-                        self._settle(state, payload, None, pending, done,
-                                     duration, on_outcome, events)
-                settled = True
-            finally:
-                # join on the settled path for the same fork-safety
-                # reason as the shared round (see above)
-                for pool in pools:
-                    pool.shutdown(wait=settled, cancel_futures=True)
+        """Settle every pending cell on up to ``max_workers`` leases.
 
-    def _settle(
-        self,
-        state: _Attempt,
-        envelope: dict | None,
-        exc: BaseException | None,
-        pending: dict[str, _Attempt],
-        done: dict[str, JobOutcome],
-        duration: float,
-        on_outcome: OutcomeFn,
-        events: EventFn = _no_events,
-    ) -> None:
-        """Resolve one attempt's (worker envelope, exception) pair.
-
-        ``duration`` is parent-measured from submit time and only used
-        for failures; successful jobs carry their worker-measured
-        duration in the envelope, which excludes pool queue wait.
+        Each cell continues its attempt count.  Lease threads only run
+        attempts; outcomes settle here, on the calling thread.  Ctrl-C
+        cancels every lease, which settles running and still-queued
+        cells ``"interrupted"`` the way serve's drain does.
         """
-        job = state.job
-        outcome: JobOutcome | None = None
-        if exc is None:
-            assert envelope is not None
-            built = envelope.get("trace_built_attempt")
-            if built is not None:
-                events("trace_built", job, {"attempt": built})
-            outcome = JobOutcome(
-                job, "ok", result=result_from_payload(envelope["result"]),
-                duration=envelope["duration"], attempts=state.attempts,
-                trace_source=envelope.get("trace_source"),
-            )
-        elif isinstance(exc, JobTimeoutError):
-            if self.escalate_timeout(state):
-                return            # stays pending with a longer timeout
-            outcome = JobOutcome(
-                job, "timeout", error=str(exc),
-                duration=duration, attempts=state.attempts,
-            )
-        elif state.attempts > self.retries:
-            outcome = JobOutcome(
-                job, "error", error=_format_error(exc),
-                duration=duration, attempts=state.attempts,
-            )
-        if outcome is not None:
-            on_outcome(outcome)
-            done[job.key] = outcome
-            del pending[job.key]
-        # else: stays pending, retried next round
+        leases = [
+            JobLease(retries=self.retries, backoff=self.backoff,
+                     timeout_factor=self.timeout_factor)
+            for _ in range(min(self.max_workers, len(pending)))
+        ]
+        idle: queue.SimpleQueue[JobLease] = queue.SimpleQueue()
+        for lease in leases:
+            idle.put(lease)
+
+        def drive(state: _Attempt) -> JobOutcome:
+            lease = idle.get()
+            try:
+                return lease._drive(state, cache_dir, events, fault_spec)
+            finally:
+                idle.put(lease)
+
+        try:
+            with ThreadPoolExecutor(len(leases)) as threads:
+                futures = [threads.submit(drive, state)
+                           for state in pending.values()]
+                try:
+                    for future in as_completed(futures):
+                        settle(future.result())
+                except KeyboardInterrupt:
+                    for lease in leases:
+                        lease.cancel()
+                    for future in futures:
+                        outcome = future.result()
+                        if outcome.job.key in pending:
+                            settle(outcome)
+        finally:
+            for lease in leases:
+                lease.close()
 
 
 def _format_error(exc: BaseException) -> str:

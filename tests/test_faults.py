@@ -155,6 +155,18 @@ class TestInjectedFailures:
         assert outcome.status == "ok"
         assert time.monotonic() - started >= 0.2   # backoff before attempt 2
 
+    def test_parallel_backoff_is_per_cell(self):
+        """Cells retrying in one round wait out their backoffs together,
+        not one after another: attempt 2 starts within one backoff."""
+        runtime = Runtime(jobs=2, use_cache=False, retries=1, backoff=0.4,
+                          faults="raise@*/*:1")
+        grid = runtime.run_grid(["baseline", "dlvp"], WORKLOADS, N)
+        assert not grid.failures()
+        starts = [e["ts"] for e in runtime.journal.events
+                  if e["event"] == "job_started" and e["attempt"] == 2]
+        assert len(starts) == 4
+        assert max(starts) - min(starts) < 0.4
+
 
 class TestWorkerKillIsolation:
     def test_crash_fault_breaks_exactly_one_cell(self):
@@ -177,6 +189,13 @@ class TestWorkerKillIsolation:
         outcome = grid.outcome("dlvp", "gzip")
         assert outcome.status == "ok"
         assert outcome.attempts == 2
+
+    def test_crash_fault_refused_in_process(self):
+        """The serial executor runs cells in the caller's process, which a
+        crash fault would kill -- rate-selected crash rules included."""
+        with pytest.raises(ValueError, match="crash faults need --jobs >= 2"):
+            Runtime(jobs=1, use_cache=False,
+                    faults="seed=3;rate=0.5;crash@*/*")
 
 
 class TestCacheIntegrity:
@@ -345,6 +364,7 @@ class TestGracefulInterruption:
             timer.cancel()
         assert grid.outcome("baseline", "gzip").status == "ok"
         assert grid.outcome("baseline", "nat").status == "interrupted"
+        assert grid.outcome("baseline", "nat").attempts == 1   # was running
         assert not grid.complete
         assert runtime.journal.count("run_interrupted") == 1
         assert "1/2 cells completed" in grid.partial_report()
@@ -461,6 +481,16 @@ class TestChaosCli:
         out, err = capsys.readouterr()
         assert "worker process died" in out
         assert "3 ok, 1 error" in err
+
+    def test_chaos_crash_fault_at_one_job_exits_2(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "chaos", "--fault",
+             "crash@gzip/dlvp:1", "--jobs", "1", "--no-cache"],
+            env=_subprocess_env(tmp_path), capture_output=True, text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "crash faults need --jobs >= 2" in proc.stderr
 
     def test_chaos_without_plan_is_an_error(self, capsys, monkeypatch):
         from repro.__main__ import main

@@ -1,10 +1,13 @@
 """Tests for :mod:`repro.runtime` — jobs, cache, executors, journal."""
 
 import json
+import multiprocessing
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -14,8 +17,10 @@ from repro.pipeline import DlvpScheme, RecoveryMode, SimResult, simulate
 from repro.runtime import (
     CODE_SALT_ENV,
     Job,
+    JobLease,
     ParallelExecutor,
     ResultCache,
+    RunJournal,
     Runtime,
     SerialExecutor,
     code_version_salt,
@@ -421,12 +426,99 @@ class TestExecutors:
         assert crashed.status == "error"
         assert "worker process died" in crashed.error
 
+    def test_interrupt_cancels_crash_isolation_leases(self):
+        """Ctrl-C while a broken pool's cell runs on a lease settles it
+        interrupted, with the attempts it used, and kills its worker.
+
+        The cell crashes its first attempt (breaking the shared pool,
+        then once more on the lease) and hangs on its second.
+        """
+        def tap(event):
+            if event["event"] == "job_started" and event["attempt"] == 2:
+                threading.Timer(
+                    0.3, os.kill, (os.getpid(), signal.SIGINT)).start()
+
+        runtime = Runtime(jobs=2, use_cache=False, journal=RunJournal(tap=tap),
+                          faults="crash@nat/baseline:1;hang@nat/baseline:2")
+        grid = runtime.run_grid(["baseline"], ["nat"], N)
+        hung = grid.outcome("baseline", "nat")
+        assert (hung.status, hung.attempts) == ("interrupted", 2)
+        assert runtime.journal.count("run_interrupted") == 1
+        deadline = time.monotonic() + 10
+        while multiprocessing.active_children() and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not multiprocessing.active_children()
+
+    def test_broken_pool_cells_settle_once_on_more_leases_than_cores(self):
+        """Every cell of a broken pool settles exactly once, on the
+        calling thread, with its attempt numbering intact."""
+        jobs = [make_job(w, 500, s) for w in WORKLOADS
+                for s in ("baseline", "dlvp", "cap", "vtage")]
+        settled = []
+
+        def on_outcome(outcome):
+            assert threading.current_thread() is threading.main_thread()
+            settled.append(outcome.job.key)
+
+        outcomes = ParallelExecutor(max_workers=4).run(
+            jobs, fault_spec="crash@*/*:1", on_outcome=on_outcome)
+        assert sorted(settled) == sorted(job.key for job in jobs)
+        assert [(o.status, o.attempts) for o in outcomes] == [("ok", 2)] * 8
+
     def test_executor_objects_run_raw_jobs(self):
         job = make_job("gzip", N, "baseline")
         serial = SerialExecutor().run([job])
         parallel = ParallelExecutor(max_workers=2).run([job])
         assert serial[0].ok and parallel[0].ok
         assert serial[0].result == parallel[0].result
+
+
+# The executor contract: one job under one fault scenario settles the
+# same (status, attempts, error prefix) on every executor.  Crash faults
+# kill the process running the cell, so the in-process serial executor
+# sits those out.  Values: (fault spec, job timeout, timeout_factor,
+# expected outcome).
+_CONTRACT = {
+    "raise-once": ("raise@*/*:1", None, None, ("ok", 2, "")),
+    "raise-always": ("raise@*/*", None, None,
+                     ("error", 2, "repro.faults.plan.FaultInjected")),
+    "hang-timeout": ("hang@*/*", 0.3, None,
+                     ("timeout", 1, "job exceeded timeout of 0.300s")),
+    "slow-escalates": ("slow@*/*=0.6", 0.3, 5.0, ("ok", 2, "")),
+    "crash-once": ("crash@*/*:1", None, None, ("ok", 2, "")),
+    "crash-always": ("crash@*/*", None, None,
+                     ("error", 2, "worker process died (crash or kill)")),
+}
+
+
+def _run_on(executor, job, spec, factor):
+    policy = dict(retries=1, timeout_factor=factor)
+    if executor == "serial":
+        (outcome,) = SerialExecutor(**policy).run([job], fault_spec=spec)
+    elif executor == "parallel":
+        (outcome,) = ParallelExecutor(2, **policy).run([job], fault_spec=spec)
+    else:
+        lease = JobLease(**policy)
+        try:
+            outcome = lease.run_one(job, fault_spec=spec)
+        finally:
+            lease.close()
+    return outcome
+
+
+@pytest.mark.parametrize("scenario,executor", [
+    (scenario, executor)
+    for scenario in _CONTRACT
+    for executor in ("serial", "parallel", "lease")
+    if not (executor == "serial" and scenario.startswith("crash"))
+])
+def test_executor_contract(scenario, executor):
+    spec, timeout, factor, expected = _CONTRACT[scenario]
+    job = make_job("gzip", 500, "dlvp", timeout=timeout)
+    outcome = _run_on(executor, job, spec, factor)
+    assert outcome.job.key == job.key
+    assert (outcome.status, outcome.attempts,
+            (outcome.error or "").partition(":")[0]) == expected
 
 
 class TestTraceMemoAcrossRetries:
