@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.isa import Instruction, OpClass, fetch_group_address
+from repro.isa import OpClass, fetch_group_address
 from repro.isa.fetch import FETCH_GROUP_BYTES
 from repro.memory import MemoryHierarchy, MemoryImage
 from repro.predictors.base import AddressPrediction
@@ -32,9 +32,9 @@ _PROBE_BYTES = 32      # captures LDM footprints up to 4 x 8B / VLD 2 x 16B
 _FGA_MASK = ~(FETCH_GROUP_BYTES - 1)      # fetch_group_address(), inlined
 _LOAD_INT = int(OpClass.LOAD)
 
-# Flat-protocol handle for an LSCD-blocked load.  Identity-checked by
+# Fused-closure handle for an LSCD-blocked load.  Identity-checked by
 # the make_flat_execute closure, so one shared tuple serves every
-# blocked load (the flat twin of DlvpFetchHandle.lscd_blocked).  The -1
+# blocked load (the fused twin of DlvpFetchHandle.lscd_blocked).  The -1
 # fields keep it distinct from every real handle: CPython merges equal
 # constant tuples across a module, so a (0, 0, None) literal elsewhere
 # would BE this object and turn ordinary unpredicted loads into blocked
@@ -188,7 +188,7 @@ class DlvpEngine:
             self._apt_use_way = p._use_way
         else:
             self._path_push = None
-        # Optional per-run batched APT keys (flat protocol only); see
+        # Optional per-run batched APT keys (fused closures only); see
         # bind_key_batch().
         self._kb = None
 
@@ -211,9 +211,10 @@ class DlvpEngine:
         """Opt into per-event instrumentation (see :mod:`repro.observe`).
 
         Traced runs drive the reference methods (:meth:`on_load_fetch`,
-        :meth:`probe`, :meth:`predicted_values`, :meth:`on_load_execute`),
-        so every component hook fires; untraced runs use the fused
-        closures, which carry no hook sites at all.
+        :meth:`probe`, :meth:`predicted_values`, :meth:`on_load_execute`)
+        through ``DlvpScheme``'s class-level ``flat_fetch``/
+        ``flat_execute``, so every component hook fires; untraced runs
+        use the fused closures, which carry no hook sites at all.
         """
         self._tracer = tracer
         self.paq.attach_tracer(tracer)
@@ -221,18 +222,17 @@ class DlvpEngine:
 
     # -- fetch ----------------------------------------------------------
 
-    def on_load_fetch(self, inst: Instruction, fetch_cycle: int, slot: int) -> DlvpFetchHandle:
+    def on_load_fetch(self, pc: int, fetch_cycle: int, slot: int) -> DlvpFetchHandle:
         """Address-predict one load in the first fetch stage.
 
         Args:
-            inst: The dynamic load (the model peeks at its PC; its
-                address/values are only consulted at execute).
+            pc: The dynamic load's PC (its address and values are only
+                consulted at execute).
             fetch_cycle: Cycle the fetch group entered the pipeline.
             slot: Which predicted load of the fetch group this is (0 or
                 1); PAP keys the APT with FGA + slot, the paper's
                 "fetch group PC and fetch group PC plus one".
         """
-        pc = inst.pc
         predictor = self.predictor
         is_pap = self._is_pap
         handle = DlvpFetchHandle(pc)
@@ -264,7 +264,7 @@ class DlvpEngine:
                 handle.prediction = None       # PAQ full: no value prediction
         return handle
 
-    def on_load_fetch_unpredicted(self, inst: Instruction) -> None:
+    def on_load_fetch_unpredicted(self, pc: int) -> None:
         """A load beyond the per-group prediction limit (Section 3.1.1).
 
         Fewer than 2% of fetch groups carry more than two loads; the
@@ -273,11 +273,8 @@ class DlvpEngine:
         trained.
         """
         self.stats.loads_seen += 1
-        self._push_history(inst.pc)
-
-    def _push_history(self, load_pc: int) -> None:
         if self._is_pap:
-            self.predictor.history.push_load(load_pc)
+            self.predictor.history.push_load(pc)
 
     # -- probe ------------------------------------------------------------
 
@@ -328,21 +325,22 @@ class DlvpEngine:
                 way_predicted and not hit and actual_way is not None,
             )
 
-    # -- fused flat-protocol fast path ----------------------------------
+    # -- fused fast path (untraced runs) ---------------------------------
 
     def make_flat_fetch(self):
         """Build the fused per-load fetch closure for the simulate() loop.
 
         ``DlvpScheme.flat_prepare`` installs it as the scheme's
-        ``flat_fetch`` (the flat-protocol signature and return
-        contract): the scheme wrapper, :meth:`on_load_fetch`,
-        :meth:`probe`, :meth:`predicted_values`, the PAQ push/drain and
-        ``hierarchy.probe_l1`` collapsed into a single call with every
-        hot attribute captured as a closure cell — per-load attribute
-        chasing was the dominant scheme-side cost. Must be rebuilt per
-        run (``flat_prepare``) because the closure owns the batched-key
-        cursor.  Outcome equivalence with the layered methods is pinned
-        by the golden suite.
+        ``flat_fetch`` (the scheme protocol's signature and return
+        contract): the class-level reference ``flat_fetch``,
+        :meth:`on_load_fetch`, :meth:`probe`, :meth:`predicted_values`,
+        the PAQ push/drain and ``hierarchy.probe_l1`` collapsed into a
+        single call with every hot attribute captured as a closure cell
+        — per-load attribute chasing was the dominant scheme-side cost.
+        Must be rebuilt per run (``flat_prepare``) because the closure
+        owns the batched-key cursor.  Outcome equivalence with the
+        layered methods is pinned by the golden suite and the
+        traced-run bit-identity test.
         """
         lscd_enabled = self._lscd_enabled
         lscd_pcs = self._lscd_pcs
@@ -539,7 +537,7 @@ class DlvpEngine:
                         v = image_read(entry_addr, mem_size)
                     else:
                         v = image_read(entry_addr, _PROBE_BYTES) & mask
-                    # _masked_values compare, flattened (scheme wrapper).
+                    # The reference flat_fetch's masked compare, flattened.
                     if len(values) == 1:
                         correct = v == (values[0] & mask)
                     else:
@@ -564,8 +562,9 @@ class DlvpEngine:
     def make_flat_execute(self):
         """Fused execute-side twin of :meth:`make_flat_fetch`.
 
-        Installed as ``DlvpScheme.flat_execute``: the scheme wrapper and
-        :meth:`on_load_execute` as one closure.
+        Installed as ``DlvpScheme.flat_execute``: the class-level
+        reference ``flat_execute`` and :meth:`on_load_execute` as one
+        closure.
         """
         stats = self.stats
         is_pap = self._is_pap
@@ -617,17 +616,19 @@ class DlvpEngine:
 
     # -- value extraction ---------------------------------------------------
 
-    def predicted_values(self, handle: DlvpFetchHandle, inst: Instruction) -> tuple[int, ...] | None:
+    def predicted_values(
+        self, handle: DlvpFetchHandle, size: int, ndests: int
+    ) -> tuple[int, ...] | None:
         """Assemble per-destination values from the probed bytes.
 
-        Returns None when no usable probe data exists or the load's
-        footprint exceeds what the probe captured.
+        ``size`` is the load's access width in bytes and ``ndests`` its
+        destination-register count.  Returns None when no usable probe
+        data exists or the load's footprint exceeds what the probe
+        captured.
         """
         raw = handle.raw_probe_value
         if raw is None:
             return None
-        size = inst.mem_size
-        ndests = len(inst.dests)
         if ndests == 1:
             # Single-destination fast path (the overwhelming majority).
             if size > _PROBE_BYTES:
@@ -643,7 +644,10 @@ class DlvpEngine:
     def on_load_execute(
         self,
         handle: DlvpFetchHandle,
-        inst: Instruction,
+        pc: int,
+        mem_addr: int,
+        mem_size: int,
+        values: tuple[int, ...],
         actual_way: int | None,
         value_predicted: bool,
         predicted: tuple[int, ...] | None,
@@ -652,15 +656,16 @@ class DlvpEngine:
 
         Args:
             handle: The fetch-time handle.
-            inst: The executing load, with its computed address/values.
+            pc: The executing load's PC.
+            mem_addr: Its computed address.
+            mem_size: Its access width in bytes.
+            values: Its architectural (loaded) values.
             actual_way: L1 way the block occupies after the demand
                 access (trains way prediction).
             value_predicted: Whether the pipeline actually consumed a
                 value prediction (it may have declined, e.g. PVT full).
             predicted: The values that were predicted, if any.
         """
-        mem_addr = inst.mem_addr
-        assert mem_addr is not None
         stats = self.stats
         stats.loads_seen += 1
 
@@ -682,21 +687,21 @@ class DlvpEngine:
                 handle.apt_index,
                 handle.apt_tag,
                 mem_addr,
-                inst.mem_size,
+                mem_size,
                 actual_way,
             )
             if self._tracer is not None:
                 self._tracer.on_apt_train(
-                    inst.pc, handle.apt_index, handle.apt_tag, train_outcome
+                    pc, handle.apt_index, handle.apt_tag, train_outcome
                 )
         else:
-            self.predictor.train(inst.pc, mem_addr)
+            self.predictor.train(pc, mem_addr)
 
         value_correct = False
         if value_predicted:
             assert predicted is not None
-            mask = (1 << (8 * inst.mem_size)) - 1
-            masked_actual = tuple(v & mask for v in inst.values)
+            mask = (1 << (8 * mem_size)) - 1
+            masked_actual = tuple(v & mask for v in values)
             value_correct = predicted == masked_actual
             stats.value_predictions += 1
             if value_correct:
@@ -706,6 +711,6 @@ class DlvpEngine:
                 # probe and execution: exactly what LSCD filters.
                 stats.inflight_conflicts += 1
                 if self._lscd_enabled:
-                    self.lscd.insert(inst.pc)
+                    self.lscd.insert(pc)
 
         return DlvpOutcome(value_predicted, value_correct, addr_predicted, addr_correct)

@@ -119,13 +119,13 @@ def simulate(
     converted once here with :meth:`ColumnarTrace.from_trace`, so
     ``Trace``/``Instruction`` stay the authoring and analysis types
     while every per-instruction attribute read below is a list index
-    and every opcode test compares plain integers.  Schemes with the
-    flat protocol (``Scheme.flat_protocol``) are driven with raw column
-    scalars; ``flat_prepare`` runs once before the loop so they can
-    precompute chunk-level batched predictor keys (see
-    :mod:`repro.pipeline.batch`).  Other schemes are adapted through
-    their object API (``fetch_side``/``execute_side``), one
-    :class:`~repro.isa.Instruction` view per scheme call.
+    and every opcode test compares plain integers.  Schemes are driven
+    through their one protocol (``flat_fetch``/``flat_execute``, see
+    :class:`~repro.pipeline.schemes.Scheme`) with raw column scalars,
+    traced or not; ``flat_prepare`` runs once before the loop, after
+    any tracer is attached, so a scheme can precompute chunk-level
+    batched predictor keys (see :mod:`repro.pipeline.batch`) or pick
+    its transport.
 
     Args:
         trace: The workload trace.
@@ -139,9 +139,9 @@ def simulate(
             every hook site below is a single pre-hoisted ``traced``
             boolean test, so outcomes and throughput are those of an
             untraced build; with a tracer attached, demand accesses go
-            through :meth:`MemoryHierarchy.access` and schemes through
-            the object-API adapter, whose reference methods fire the
-            component hooks, at identical simulated outcomes.
+            through :meth:`MemoryHierarchy.access`, and DLVP keeps its
+            reference methods in place of the fused closures, so the
+            component hooks fire, at identical simulated outcomes.
 
     Returns:
         A :class:`SimResult`; compare runs of the same trace with
@@ -222,7 +222,6 @@ def simulate(
         values_lo,
         values_hi,
     ) = trace.snapshots()
-    inst_view = trace.instruction
 
     LOAD = int(OpClass.LOAD)
     STORE = int(OpClass.STORE)
@@ -305,20 +304,13 @@ def simulate(
     word_store_get = word_store.get
     oracle_replay = recovery == RecoveryMode.ORACLE_REPLAY
     fetch_all_ops = scheme is not None and not scheme.fetch_loads_only
-    flat_native = False
     if scheme is not None:
-        # Flat-protocol schemes take raw column scalars and get a
-        # pre-loop hook for chunk-level batched precomputation.  Traced
-        # runs, and schemes without the flat protocol, go through the
-        # object API instead (one Instruction view per scheme call).
-        flat_native = scheme.flat_protocol and not traced
-        if flat_native:
-            scheme.flat_prepare(trace)
-            scheme_flat_fetch = scheme.flat_fetch
-            scheme_flat_execute = scheme.flat_execute
-        else:
-            scheme_fetch_side = scheme.fetch_side
-            scheme_execute_side = scheme.execute_side
+        # Runs after attach_tracer: a scheme may pick its transport by
+        # whether it is traced (DLVP installs fused closures only when
+        # it is not).
+        scheme.flat_prepare(trace)
+        scheme_flat_fetch = scheme.flat_fetch
+        scheme_flat_execute = scheme.flat_execute
         vpe_stats = scheme.vpe.stats
         # vpe.admit and vpe.record_validation, split into their halves
         # (allocate + the stat increments) so the common case is one
@@ -398,35 +390,29 @@ def simulate(
             # transport).  Lane *reservations* are for future issue
             # cycles, so a bubble is essentially always available now;
             # the paper measures <0.1% of PAQ entries aging out.
-            if flat_native:
-                ndests_i = dests_index[i + 1] - dests_index[i]
-                vs = values_index[i]
-                ve = values_index[i + 1]
-                if ve - vs == 1:
-                    hv = values_hi[vs]
-                    vals = ((hv << 64) | values_lo[vs] if hv else values_lo[vs],)
-                elif ve == vs:
-                    vals = ()
-                else:
-                    vals = tuple(
-                        (values_hi[k] << 64) | values_lo[k]
-                        if values_hi[k] else values_lo[k]
-                        for k in range(vs, ve)
-                    )
-                fp = scheme_flat_fetch(
-                    pc, op, mem_addr_col[i], mem_size_col[i], flags_col[i],
-                    ndests_i, vals, fetch_cycle, load_slot, fetch_cycle + 2,
-                )
+            ndests_i = dests_index[i + 1] - dests_index[i]
+            vs = values_index[i]
+            ve = values_index[i + 1]
+            if ve - vs == 1:
+                hv = values_hi[vs]
+                vals = ((hv << 64) | values_lo[vs] if hv else values_lo[vs],)
+            elif ve == vs:
+                vals = ()
             else:
-                inst = inst_view(i)
-                sp = scheme_fetch_side(inst, fetch_cycle, load_slot, fetch_cycle + 2)
-                if sp is not None:
-                    fp = (sp.values, sp.correct, sp, sp.registers)
-                if traced:
-                    tracer.on_fetch_predict(
-                        fetch_cycle, pc, load_slot,
-                        sp is not None and sp.values is not None,
-                    )
+                vals = tuple(
+                    (values_hi[k] << 64) | values_lo[k]
+                    if values_hi[k] else values_lo[k]
+                    for k in range(vs, ve)
+                )
+            fp = scheme_flat_fetch(
+                pc, op, mem_addr_col[i], mem_size_col[i], flags_col[i],
+                ndests_i, vals, fetch_cycle, load_slot, fetch_cycle + 2,
+            )
+            if traced:
+                tracer.on_fetch_predict(
+                    fetch_cycle, pc, load_slot,
+                    fp is not None and fp[0] is not None,
+                )
 
         # ---- issue timing -----------------------------------------------
         src_ready = 0
@@ -647,17 +633,12 @@ def simulate(
                     value_predicted = True
                 else:
                     vpe_stats.pvt_rejections += 1
-            if flat_native:
-                value_correct = scheme_flat_execute(
-                    pc, op, mem_addr_col[i], mem_size_col[i], flags_col[i],
-                    ndests_i, vals, fp[2], fp_values, acc_way, value_predicted,
-                )[1]
-            else:
-                value_correct = scheme_execute_side(
-                    inst, fp[2], acc_way, value_predicted
-                )[1]
-                if traced and fp_values is not None:
-                    tracer.on_vpe_verdict(done, pc, value_predicted, value_correct)
+            value_correct = scheme_flat_execute(
+                pc, op, mem_addr_col[i], mem_size_col[i], flags_col[i],
+                ndests_i, vals, fp[2], fp_values, acc_way, value_predicted,
+            )[1]
+            if traced and fp_values is not None:
+                tracer.on_vpe_verdict(done, pc, value_predicted, value_correct)
             if value_predicted:
                 vpe_stats.value_predictions += 1
                 if value_correct:

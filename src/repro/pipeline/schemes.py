@@ -1,9 +1,11 @@
 """Value-prediction schemes as the pipeline sees them.
 
 A scheme is the glue between the timing model and the predictors: the
-pipeline asks the scheme for a prediction at fetch (``fetch_side``),
+pipeline asks the scheme for a prediction at fetch (``flat_fetch``),
 decides admission (PVT capacity, recovery mode), and reports back at
-execute (``execute_side``) so the scheme can train.  Three schemes
+execute (``flat_execute``) so the scheme can train.  Both calls take
+raw trace-column scalars; the :class:`Scheme` docstring spells out the
+one protocol every run, traced or not, drives.  Three schemes
 reproduce the paper's three value predictors — DLVP (PAP-based), the
 CAP variant of DLVP, and VTAGE — plus the DLVP+VTAGE tournament of
 Figure 8.
@@ -16,14 +18,14 @@ from dataclasses import dataclass
 
 from repro.branch import BranchUnit
 from repro.core import DlvpConfig, DlvpEngine, ValuePredictionEngine
-from repro.isa import Instruction, OpClass
+from repro.isa import OpClass
 from repro.isa.fetch import FETCH_GROUP_BYTES
 from repro.memory import MemoryHierarchy, MemoryImage
 from repro.predictors.cap import CapConfig, CapPredictor
 from repro.pipeline import batch as _key_batch
 from repro.pipeline.stats import register_stats_type
 from repro.predictors.tournament import ChooserStats, TournamentChooser
-from repro.predictors.vtage import VtageConfig, VtageHandle, VtagePredictor
+from repro.predictors.vtage import VtageConfig, VtagePredictor
 from repro.trace.columnar import F_VECTOR
 
 _MASK64 = (1 << 64) - 1
@@ -34,34 +36,27 @@ _LOAD = int(OpClass.LOAD)
 register_stats_type(ChooserStats)
 
 
-class SchemePrediction:
-    """Fetch-side result for one instruction.
-
-    ``__slots__`` plain class: allocated once per fetched instruction on
-    the simulate() hot path.
-    """
-
-    __slots__ = ("values", "correct", "handle", "registers")
-
-    def __init__(
-        self,
-        values: tuple[int, ...] | None,    # None: no value prediction available
-        correct: bool,                     # trace-known correctness of ``values``
-        handle: object,                    # scheme-private state for execute_side
-        registers: int,                    # PVT entries the prediction would need
-    ) -> None:
-        self.values = values
-        self.correct = correct
-        self.handle = handle
-        self.registers = registers
-
-
 class Scheme(abc.ABC):
-    """Base class for value-prediction schemes driven by the pipeline."""
+    """Base class for value-prediction schemes driven by the pipeline.
+
+    The protocol is two calls per predictable instruction, made by the
+    simulate() loop with raw trace-column scalars.  ``values`` in the
+    arguments are the architectural (trace) values.  :meth:`flat_fetch`
+    returns ``(values, correct, handle, registers)`` or None: the
+    predicted values (None: no prediction), their trace-known
+    correctness, scheme-private state for :meth:`flat_execute`, and
+    the PVT entries the prediction would need.  :meth:`flat_execute`
+    returns ``(value_predicted, value_correct)``.  Both results are
+    plain tuples: one is produced per predicted instruction.
+    :meth:`flat_prepare` runs once per simulation, after :meth:`bind`
+    and :meth:`attach_tracer`, with the full ColumnarTrace: the hook
+    for chunk-level batched precomputation (see
+    :mod:`repro.pipeline.batch`) and per-run fused closures.
+    """
 
     name: str = "scheme"
 
-    # True when fetch_side() is a guaranteed no-op for non-load
+    # True when flat_fetch() is a guaranteed no-op for non-load
     # instructions (no prediction AND no side effects).  The timing
     # model uses it to skip the call entirely on the hot path; schemes
     # that predict non-loads (e.g. VTAGE with loads_only=False) must
@@ -91,61 +86,31 @@ class Scheme(abc.ABC):
         """
         self.vpe.attach_tracer(tracer)
 
+    def flat_prepare(self, trace) -> None:
+        """Per-run hook before the simulate() loop starts (no-op default)."""
+
     @abc.abstractmethod
-    def fetch_side(
-        self,
-        inst: Instruction,
-        fetch_cycle: int,
-        load_slot: int | None,
-        probe_cycle: int,
-    ) -> SchemePrediction | None:
+    def flat_fetch(
+        self, pc, op, mem_addr, mem_size, flags, ndests, values,
+        fetch_cycle, load_slot, probe_cycle,
+    ):
         """Attempt a prediction as the instruction is fetched.
 
         ``load_slot`` is 0/1 for the first two loads of a fetch group
         and None beyond that (the per-cycle prediction limit).
-        Returns None when this scheme has nothing to do for ``inst``.
         """
 
     @abc.abstractmethod
-    def execute_side(
-        self,
-        inst: Instruction,
-        sp: SchemePrediction,
-        way: int | None,
-        value_predicted: bool,
-    ) -> tuple[bool, bool]:
+    def flat_execute(
+        self, pc, op, mem_addr, mem_size, flags, ndests, values,
+        handle, predicted, way, value_predicted,
+    ):
         """Validate and train once the instruction executes.
 
-        ``way`` is the L1 way the block occupies after the demand access
-        (None for non-memory instructions); returns ``(value_predicted,
-        value_correct)`` as a plain tuple — one is produced per
-        predicted instruction on the simulate() hot path, so no result
-        object is allocated.
+        ``predicted`` is what :meth:`flat_fetch` returned; ``way`` is
+        the L1 way the block occupies after the demand access (None for
+        non-memory instructions).
         """
-
-    # -- flattened dispatch (untraced simulate() runs) -------------------
-    #
-    # Schemes that set ``flat_protocol = True`` speak a raw-scalar tuple
-    # protocol to the simulate() loop: ``flat_fetch(pc, op, mem_addr,
-    # mem_size, flags, ndests, values, fetch_cycle, load_slot,
-    # probe_cycle)`` returns ``(values, correct, handle, registers)`` (or
-    # None), and ``flat_execute(pc, op, mem_addr, mem_size, flags,
-    # ndests, values, handle, predicted, way, value_predicted)`` returns
-    # ``(value_predicted, value_correct)`` — no Instruction view or
-    # SchemePrediction is ever materialized.  ``values`` are the
-    # architectural (trace) values; ``predicted`` is what flat_fetch
-    # returned.  Third-party schemes leave ``flat_protocol`` False and
-    # the loop adapts their object API (one Instruction view per call);
-    # traced runs adapt every scheme that way, so the reference methods
-    # fire their tracer hooks.  The golden suite pins both dispatches to
-    # the same outcomes.  ``flat_prepare`` runs once per flat-protocol
-    # simulation, after bind(), with the full ColumnarTrace — the hook
-    # for chunk-level batched precomputation (see repro.pipeline.batch).
-
-    flat_protocol = False
-
-    def flat_prepare(self, trace) -> None:
-        """Per-run hook before a flat-protocol run starts (no-op default)."""
 
     def on_value_flush(self) -> None:
         """A value misprediction flushed the pipeline."""
@@ -175,22 +140,19 @@ class Scheme(abc.ABC):
         """Approximate (reads, writes) of the prediction tables."""
 
 
-def _masked_values(inst: Instruction, size: int | None = None) -> tuple[int, ...]:
-    """The architecturally loaded values masked to the access width."""
-    nbytes = size if size is not None else inst.mem_size
-    mask = (1 << (8 * nbytes)) - 1
-    values = inst.values
-    if len(values) == 1:
-        return (values[0] & mask,)
-    return tuple(v & mask for v in values)
-
-
 class DlvpScheme(Scheme):
     """DLVP proper (PAP), or the paper's "CAP" comparison point when
-    constructed with ``use_cap=True``."""
+    constructed with ``use_cap=True``.
+
+    The class-level :meth:`flat_fetch`/:meth:`flat_execute` drive the
+    engine's reference methods, so every PAQ, LSCD, APT and probe hook
+    fires; traced runs use them.  Untraced runs get the engine's fused
+    per-run closures instead (:meth:`flat_prepare`), which carry no
+    hook sites.  The golden suite and the traced-run bit-identity test
+    pin the two to the same outcomes.
+    """
 
     fetch_loads_only = True
-    flat_protocol = True
 
     def __init__(
         self,
@@ -226,15 +188,19 @@ class DlvpScheme(Scheme):
     def flat_prepare(self, trace) -> None:
         """Precompute batched APT keys and build the fused fast path.
 
-        Without numpy (or for CAP, or APT histories wider than the
-        64-bit batch fold), the engine falls back to live incremental
-        folds — same bits, pinned by the golden suite.  Either way the
-        per-run ``flat_fetch``/``flat_execute`` are instance closures
-        with every hot attribute captured as a cell (see
-        :meth:`DlvpEngine.make_flat_fetch`).
+        Only for an untraced engine: with a tracer attached, the
+        class-level reference transport stays in place so the
+        component hooks fire.  Without numpy (or for CAP, or APT
+        histories wider than the 64-bit batch fold), the engine falls
+        back to live incremental folds — same bits, pinned by the
+        golden suite.  Either way the per-run ``flat_fetch``/
+        ``flat_execute`` are instance closures with every hot attribute
+        captured as a cell (see :meth:`DlvpEngine.make_flat_fetch`).
         """
         engine = self.engine
         engine.bind_key_batch(None)
+        if engine._tracer is not None:
+            return
         if engine._is_pap and _key_batch.np is not None:
             predictor = engine.predictor
             history_bits = predictor.config.history_bits
@@ -258,26 +224,32 @@ class DlvpScheme(Scheme):
         if self.engine is not None:
             self.engine.attach_tracer(tracer)
 
-    def fetch_side(self, inst, fetch_cycle, load_slot, probe_cycle):
-        if inst.op != OpClass.LOAD:
+    def flat_fetch(
+        self, pc, op, mem_addr, mem_size, flags, ndests, values,
+        fetch_cycle, load_slot, probe_cycle,
+    ):
+        if op != _LOAD:
             return None
         engine = self.engine
         if load_slot is None:
-            engine.on_load_fetch_unpredicted(inst)
+            engine.on_load_fetch_unpredicted(pc)
             return None
-        handle = engine.on_load_fetch(inst, fetch_cycle, load_slot)
+        handle = engine.on_load_fetch(pc, fetch_cycle, load_slot)
         engine.probe(handle, probe_cycle)
-        values = engine.predicted_values(handle, inst)
-        correct = values is not None and values == _masked_values(inst)
-        return SchemePrediction(values, correct, handle, len(inst.dests))
+        predicted = engine.predicted_values(handle, mem_size, ndests)
+        mask = (1 << (8 * mem_size)) - 1
+        correct = predicted is not None and predicted == tuple(
+            v & mask for v in values
+        )
+        return (predicted, correct, handle, ndests)
 
-    def execute_side(self, inst, sp, way, value_predicted):
+    def flat_execute(
+        self, pc, op, mem_addr, mem_size, flags, ndests, values,
+        handle, predicted, way, value_predicted,
+    ):
         outcome = self.engine.on_load_execute(
-            sp.handle,
-            inst,
-            way,
-            value_predicted,
-            sp.values if value_predicted else None,
+            handle, pc, mem_addr, mem_size, values, way, value_predicted,
+            predicted if value_predicted else None,
         )
         return outcome.value_predicted, outcome.value_correct
 
@@ -317,8 +289,6 @@ class DlvpScheme(Scheme):
 class VtageScheme(Scheme):
     """VTAGE driven by the core's global branch history."""
 
-    flat_protocol = True
-
     def __init__(self, config: VtageConfig | None = None) -> None:
         super().__init__()
         self.config = config or VtageConfig()
@@ -332,31 +302,6 @@ class VtageScheme(Scheme):
         # per-load flat calls read only its .value.
         self._history = branch_unit.global_history
         self._loads_only = self.config.loads_only
-
-    def fetch_side(self, inst, fetch_cycle, load_slot, probe_cycle):
-        if not inst.dests or not inst.values:
-            return None
-        if self.config.loads_only and inst.op != OpClass.LOAD:
-            return None
-        handle = self.predictor.begin(inst, self.branch_unit.global_history.value)
-        if handle is None:
-            return None
-        values = handle.prediction
-        if inst.op == OpClass.LOAD and load_slot is None:
-            values = None              # per-cycle prediction-port limit
-        correct = values is not None and values == tuple(
-            v & _MASK64 if not inst.is_vector else v for v in inst.values
-        )
-        return SchemePrediction(
-            values=values,
-            correct=correct,
-            handle=handle,
-            registers=inst.value_prediction_slots(),
-        )
-
-    def execute_side(self, inst, sp, way, value_predicted):
-        correct = self.predictor.finish(sp.handle, inst)
-        return value_predicted, correct
 
     def flat_fetch(
         self, pc, op, mem_addr, mem_size, flags, ndests, values,
@@ -411,7 +356,6 @@ class DvtageScheme(Scheme):
     """
 
     fetch_loads_only = True
-    flat_protocol = True
 
     def __init__(self, config: "DvtageConfig | None" = None) -> None:
         super().__init__()
@@ -424,32 +368,6 @@ class DvtageScheme(Scheme):
     def bind(self, hierarchy, image, branch_unit) -> None:
         super().bind(hierarchy, image, branch_unit)
         self._history = branch_unit.global_history
-
-    def fetch_side(self, inst, fetch_cycle, load_slot, probe_cycle):
-        if inst.op != OpClass.LOAD:
-            return None
-        history = self.branch_unit.global_history.value
-        prediction = self.predictor.predict(inst, history)
-        if load_slot is None:
-            prediction = None
-        correct = (
-            prediction is not None
-            and (prediction,) == tuple(v & _MASK64 for v in inst.values)
-        )
-        return SchemePrediction(
-            values=(prediction,) if prediction is not None else None,
-            correct=correct,
-            handle=history,
-            registers=len(inst.dests),
-        )
-
-    def execute_side(self, inst, sp, way, value_predicted):
-        history = sp.handle
-        prediction = self.predictor.train(inst, history)
-        correct = prediction is not None and (prediction,) == tuple(
-            v & _MASK64 for v in inst.values
-        )
-        return value_predicted, correct
 
     def flat_fetch(
         self, pc, op, mem_addr, mem_size, flags, ndests, values,
@@ -522,18 +440,10 @@ class TournamentStats:
         return self.final_by_vtage / self.loads if self.loads else 0.0
 
 
-@dataclass
-class _TournamentHandle:
-    sp_dlvp: SchemePrediction | None
-    sp_vtage: SchemePrediction | None
-    final_is_dlvp: bool
-
-
 class TournamentScheme(Scheme):
     """DLVP and VTAGE running concurrently with a 2-bit chooser."""
 
     fetch_loads_only = True
-    flat_protocol = True
 
     def __init__(
         self,
@@ -555,8 +465,9 @@ class TournamentScheme(Scheme):
 
     def flat_prepare(self, trace) -> None:
         self.dlvp.flat_prepare(trace)
-        # Sub-scheme flat entry points, aliased for the per-load calls
-        # (the DLVP side's are the per-run closures flat_prepare built).
+        # Sub-scheme entry points, aliased for the per-load calls.  The
+        # DLVP side's are the fused closures flat_prepare just built,
+        # or its reference transport when the run is traced.
         self._dlvp_flat_fetch = self.dlvp.flat_fetch
         self._dlvp_flat_execute = self.dlvp.flat_execute
         self._vtage_flat_fetch = self.vtage.flat_fetch
@@ -566,66 +477,6 @@ class TournamentScheme(Scheme):
         super().attach_tracer(tracer)
         self.dlvp.attach_tracer(tracer)
         self.vtage.attach_tracer(tracer)
-
-    def fetch_side(self, inst, fetch_cycle, load_slot, probe_cycle):
-        if inst.op != OpClass.LOAD:
-            return None
-        sp_d = self.dlvp.fetch_side(inst, fetch_cycle, load_slot, probe_cycle)
-        sp_v = self.vtage.fetch_side(inst, fetch_cycle, load_slot, probe_cycle)
-        self.stats.loads += 1
-
-        prefer_dlvp = self.chooser.choose_a(inst.pc)
-        candidates: list[tuple[bool, SchemePrediction]] = []
-        if sp_d is not None and sp_d.values is not None:
-            candidates.append((True, sp_d))
-        if sp_v is not None and sp_v.values is not None:
-            candidates.append((False, sp_v))
-        if not candidates:
-            return SchemePrediction(
-                values=None,
-                correct=False,
-                handle=_TournamentHandle(sp_d, sp_v, prefer_dlvp),
-                registers=len(inst.dests),
-            )
-        final_is_dlvp, chosen = candidates[0]
-        for is_dlvp, sp in candidates:
-            if is_dlvp == prefer_dlvp:
-                final_is_dlvp, chosen = is_dlvp, sp
-                break
-        self.chooser.record_choice(final_is_dlvp)
-        self.stats.final_predictions += 1
-        if final_is_dlvp:
-            self.stats.final_by_dlvp += 1
-        else:
-            self.stats.final_by_vtage += 1
-        return SchemePrediction(
-            values=chosen.values,
-            correct=chosen.correct,
-            handle=_TournamentHandle(sp_d, sp_v, final_is_dlvp),
-            registers=chosen.registers,
-        )
-
-    def execute_side(self, inst, sp, way, value_predicted):
-        handle = sp.handle
-        assert isinstance(handle, _TournamentHandle)
-        a_correct: bool | None = None
-        b_correct: bool | None = None
-        value_correct = False
-        if handle.sp_dlvp is not None:
-            dlvp_used = value_predicted and handle.final_is_dlvp
-            _, d_correct = self.dlvp.execute_side(inst, handle.sp_dlvp, way, dlvp_used)
-            if handle.sp_dlvp.values is not None:
-                a_correct = handle.sp_dlvp.correct
-            if dlvp_used:
-                value_correct = d_correct
-        if handle.sp_vtage is not None:
-            _, v_correct = self.vtage.execute_side(inst, handle.sp_vtage, way, False)
-            if handle.sp_vtage.values is not None:
-                b_correct = handle.sp_vtage.correct
-            if value_predicted and not handle.final_is_dlvp:
-                value_correct = v_correct
-        self.chooser.update(inst.pc, a_correct, b_correct)
-        return value_predicted, value_correct
 
     def flat_fetch(
         self, pc, op, mem_addr, mem_size, flags, ndests, values,
@@ -648,9 +499,8 @@ class TournamentScheme(Scheme):
         v_values = v[0] if v is not None else None
         if d_values is None and v_values is None:
             return (None, False, (d, v, prefer_dlvp), ndests)
-        # Candidate preference, flattened: the chooser's pick when that
-        # side predicted, else whichever side did (DLVP first — the
-        # same order fetch_side's candidate list encodes).
+        # Candidate preference: the chooser's pick when that side
+        # predicted, else whichever side did.
         if d_values is not None and (prefer_dlvp or v_values is None):
             final_is_dlvp, chosen = True, d
         else:

@@ -216,6 +216,21 @@ def _make_pool(max_workers: int) -> ProcessPoolExecutor:
                                mp_context=_pool_context())
 
 
+def _terminate_workers(pool: ProcessPoolExecutor | None) -> None:
+    """Terminate every worker process of ``pool`` (hung ones included).
+
+    ``_processes`` is pool-internal but stable across supported
+    CPythons, and there is no public way to kill a hung worker.  Call
+    it before ``pool.shutdown``, which drops the process table.
+    """
+    processes = getattr(pool, "_processes", None) or {}
+    for proc in list(processes.values()):
+        try:
+            proc.terminate()
+        except (OSError, AttributeError):
+            pass
+
+
 @dataclass
 class _Attempt:
     job: Job
@@ -462,9 +477,7 @@ class JobLease(_FailurePolicy):
         Killing the worker breaks the lease's pool, which
         :meth:`run_one` observes as ``BrokenProcessPool`` and — with
         the cancel flag latched — reports as ``"interrupted"`` rather
-        than retrying.  ``_processes`` is pool-internal but stable
-        across supported CPythons, and there is no public way to kill
-        a hung worker.
+        than retrying.
         """
         self._cancelled = True
         self.reap()
@@ -480,13 +493,7 @@ class JobLease(_FailurePolicy):
         exhausted.  A hang therefore costs the cell, never the slot.
         """
         with self._lock:
-            pool = self._pool
-            processes = getattr(pool, "_processes", None) or {}
-            for proc in list(processes.values()):
-                try:
-                    proc.terminate()
-                except (OSError, AttributeError):
-                    pass
+            _terminate_workers(self._pool)
 
     def close(self) -> None:
         """Shut the lease's pool down (rebuilt lazily on next use)."""
@@ -603,8 +610,11 @@ class ParallelExecutor(_FailurePolicy):
             # and joining the pool's helper threads is cheap — and
             # necessary before the leases fork fresh pools: forking
             # while a dying pool's queue-feeder threads still hold
-            # their locks can deadlock the new workers.  Only an
-            # interrupt (a worker may be mid-job) skips the join.
+            # their locks can deadlock the new workers.  An interrupt
+            # (a worker may be mid-job, or hung) kills the workers
+            # instead and skips the join, so none outlives the run.
+            if not settled:
+                _terminate_workers(pool)
             pool.shutdown(wait=settled, cancel_futures=True)
         return broke
 

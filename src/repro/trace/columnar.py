@@ -221,8 +221,8 @@ class ColumnarTrace:
     def instruction(self, i: int) -> Instruction:
         """Materialize instruction ``i`` as an :class:`Instruction` view.
 
-        Hot path for simulate()'s object-API adapter (one view per
-        predicted load), so it bypasses ``Instruction.__init__`` — the
+        Backs iteration and indexing, so it bypasses
+        ``Instruction.__init__`` — the
         columns were populated from already-validated instructions, and
         ``__post_init__`` would re-check invariants the encoding cannot
         violate.

@@ -13,6 +13,11 @@ def load(pc=0x1000, addr=0x5000, values=(42,), dests=(1,), size=8):
                        mem_size=size, values=values)
 
 
+def exec_scalars(inst):
+    """The load fields DlvpEngine.on_load_execute reads."""
+    return inst.pc, inst.mem_addr, inst.mem_size, inst.values
+
+
 def make_engine(**config_kwargs):
     image = MemoryImage()
     hierarchy = MemoryHierarchy()
@@ -25,12 +30,12 @@ def run_load(engine, inst, cycle, slot=0, image_value=None):
     """One full fetch->probe->execute round for a load."""
     if image_value is not None:
         engine.image.write(inst.mem_addr, inst.mem_size, image_value)
-    handle = engine.on_load_fetch(inst, cycle, slot)
+    handle = engine.on_load_fetch(inst.pc, cycle, slot)
     engine.probe(handle, cycle + 2)
-    values = engine.predicted_values(handle, inst)
+    values = engine.predicted_values(handle, inst.mem_size, len(inst.dests))
     access = engine.hierarchy.access(inst.pc, inst.mem_addr)
     outcome = engine.on_load_execute(
-        handle, inst, access.way, values is not None, values
+        handle, *exec_scalars(inst), access.way, values is not None, values
     )
     return outcome, values
 
@@ -91,11 +96,13 @@ class TestInFlightConflicts:
         # Now the architectural value changes but the image (committed
         # state) still has the old value: probe returns stale 42.
         stale = load(values=(99,))
-        handle = engine.on_load_fetch(stale, 0, 0)
+        handle = engine.on_load_fetch(stale.pc, 0, 0)
         engine.probe(handle, 2)
-        values = engine.predicted_values(handle, stale)
+        values = engine.predicted_values(handle, stale.mem_size,
+                                         len(stale.dests))
         access = engine.hierarchy.access(stale.pc, stale.mem_addr)
-        outcome = engine.on_load_execute(handle, stale, access.way, True, values)
+        outcome = engine.on_load_execute(handle, *exec_scalars(stale),
+                                         access.way, True, values)
         assert not outcome.value_correct
         assert outcome.address_correct
         assert engine.stats.inflight_conflicts == 1
@@ -104,11 +111,12 @@ class TestInFlightConflicts:
     def test_lscd_blocks_future_instances(self):
         engine, image, _ = make_engine()
         engine.lscd.insert(0x1000)
-        handle = engine.on_load_fetch(load(), 0, 0)
+        handle = engine.on_load_fetch(load().pc, 0, 0)
         assert handle.lscd_blocked
         assert handle.prediction is None
         access = engine.hierarchy.access(0x1000, 0x5000)
-        outcome = engine.on_load_execute(handle, load(), access.way, False, None)
+        outcome = engine.on_load_execute(handle, *exec_scalars(load()),
+                                         access.way, False, None)
         assert not outcome.address_predicted
         assert engine.stats.lscd_blocked == 1
 
@@ -124,7 +132,7 @@ class TestProbeBehaviour:
                 if outcome.value_predicted:
                     break
         hierarchy.l1d.invalidate(0x5000)
-        handle = engine.on_load_fetch(load(), 0, 0)
+        handle = engine.on_load_fetch(load().pc, 0, 0)
         engine.probe(handle, 2)
         assert not handle.probe_hit
         assert engine.stats.prefetches == 1
@@ -139,7 +147,7 @@ class TestProbeBehaviour:
             if outcome.value_predicted:
                 break
         hierarchy.l1d.invalidate(0x5000)
-        handle = engine.on_load_fetch(load(), 0, 0)
+        handle = engine.on_load_fetch(load().pc, 0, 0)
         engine.probe(handle, 2)
         assert engine.stats.prefetches == 0
 
@@ -154,7 +162,7 @@ class TestProbeBehaviour:
         # touching other blocks in the set.
         hierarchy.l1d.invalidate(0x5000)
         hierarchy.l1d.fill(0x5000)
-        handle = engine.on_load_fetch(load(), 0, 0)
+        handle = engine.on_load_fetch(load().pc, 0, 0)
         engine.probe(handle, 2)
         # Either the way happens to match (fine) or it is counted.
         assert engine.stats.way_mispredictions in (0, 1)
@@ -163,13 +171,14 @@ class TestProbeBehaviour:
         engine, image, _ = make_engine(paq_drop_cycles=2)
         image.write(0x5000, 8, 42)
         for i in range(40):
-            handle = engine.on_load_fetch(load(), 0, 0)
+            handle = engine.on_load_fetch(load().pc, 0, 0)
             engine.probe(handle, 100)      # far beyond the drop window
             if handle.dropped:
                 assert handle.prediction is None
                 return
             access = engine.hierarchy.access(0x1000, 0x5000)
-            engine.on_load_execute(handle, load(), access.way, False, None)
+            engine.on_load_execute(handle, *exec_scalars(load()),
+                                   access.way, False, None)
         pytest.fail("no prediction ever queued")
 
 
@@ -185,11 +194,13 @@ class TestCapBackend:
         image.write(0x5000, 8, 42)
         predicted = False
         for i in range(60):
-            handle = engine.on_load_fetch(load(), i, 0)
+            handle = engine.on_load_fetch(load().pc, i, 0)
             engine.probe(handle, i + 2)
-            values = engine.predicted_values(handle, load())
+            values = engine.predicted_values(handle, load().mem_size,
+                                             len(load().dests))
             access = hierarchy.access(0x1000, 0x5000)
-            outcome = engine.on_load_execute(handle, load(), access.way,
+            outcome = engine.on_load_execute(handle, *exec_scalars(load()),
+                                             access.way,
                                              values is not None, values)
             predicted = predicted or outcome.value_predicted
         assert predicted
@@ -198,5 +209,5 @@ class TestCapBackend:
 class TestUnpredictedPath:
     def test_third_load_of_group_counts_in_denominator(self):
         engine, _, _ = make_engine()
-        engine.on_load_fetch_unpredicted(load())
+        engine.on_load_fetch_unpredicted(load().pc)
         assert engine.stats.loads_seen == 1

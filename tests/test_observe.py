@@ -53,20 +53,35 @@ def _trace(n=3000, name="aifirf"):
 
 
 class TestZeroOverheadContract:
-    @pytest.mark.parametrize("scheme_id", (None,) + SCHEME_IDS)
-    def test_traced_run_bit_identical(self, scheme_id, monkeypatch):
+    @pytest.mark.parametrize("scheme_id,workload", [
+        # aifirf legs keep the bare scheme id, so existing test ids hold
+        pytest.param(scheme_id, workload, id=(
+            str(scheme_id) if workload == "aifirf" else f"{scheme_id}-{workload}"
+        ))
+        for workload in ("aifirf", "gcc")
+        for scheme_id in (None,) + SCHEME_IDS
+    ])
+    def test_traced_run_bit_identical(self, scheme_id, workload, monkeypatch):
         """Traced == untraced on a Trace and on a ColumnarTrace input.
 
         A traced run stays in the one simulate() loop: it never turns
-        its columnar trace back into Instruction objects.
+        its columnar trace back into Instruction objects, neither the
+        whole trace nor per-instruction views.  ``gcc`` has in-flight
+        conflicts and LSCD-blocked loads at this length, so its DLVP
+        leg compares the blocked-handle and LSCD-insert paths of the
+        reference methods against the fused closures.
         """
-        trace = _trace()
+        trace = _trace(name=workload)
         inputs = (trace, ColumnarTrace.from_trace(trace))
 
         def _forbidden(self):
             raise AssertionError("simulate() called ColumnarTrace.to_trace")
 
+        def _no_views(self, i):
+            raise AssertionError("simulate() called ColumnarTrace.instruction")
+
         monkeypatch.setattr(ColumnarTrace, "to_trace", _forbidden)
+        monkeypatch.setattr(ColumnarTrace, "instruction", _no_views)
         build = (lambda: None) if scheme_id is None else get_scheme(scheme_id).build
         for trace_input in inputs:
             untraced = simulate(trace_input, scheme=build())
@@ -74,6 +89,10 @@ class TestZeroOverheadContract:
             u, t = untraced.to_dict(), traced.to_dict()
             u.pop("intervals"), t.pop("intervals")
             assert u == t
+            if (workload, scheme_id) == ("gcc", "dlvp"):
+                stats = traced.scheme_stats
+                assert stats.inflight_conflicts > 0
+                assert stats.lscd_blocked > 0
 
     def test_untraced_components_hold_no_tracer(self):
         scheme = get_scheme("dlvp").build()

@@ -449,6 +449,24 @@ class TestExecutors:
             time.sleep(0.1)
         assert not multiprocessing.active_children()
 
+    def test_interrupt_kills_hung_shared_pool_worker(self):
+        """Ctrl-C while a shared-pool cell hangs settles it interrupted
+        and kills the pool's workers, so none outlives the run."""
+        def tap(event):
+            if event["event"] == "job_started":
+                threading.Timer(
+                    1.0, os.kill, (os.getpid(), signal.SIGINT)).start()
+
+        runtime = Runtime(jobs=2, use_cache=False, journal=RunJournal(tap=tap),
+                          faults="hang@nat/baseline")
+        grid = runtime.run_grid(["baseline"], ["nat"], N)
+        hung = grid.outcome("baseline", "nat")
+        assert (hung.status, hung.attempts) == ("interrupted", 1)
+        deadline = time.monotonic() + 10
+        while multiprocessing.active_children() and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not multiprocessing.active_children()
+
     def test_broken_pool_cells_settle_once_on_more_leases_than_cores(self):
         """Every cell of a broken pool settles exactly once, on the
         calling thread, with its attempt numbering intact."""
