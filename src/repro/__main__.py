@@ -48,7 +48,7 @@ Examples::
     python -m repro trace aifirf --scheme dlvp --out trace.json
     python -m repro observe report
     python -m repro run aifirf --scheme dlvp --trace traces/
-    python -m repro bench throughput --output BENCH_pr9.json
+    python -m repro bench throughput --output bench_current.json
     python -m repro cache verify
     python -m repro cache gc --max-age-days 30 --max-size-mb 512
     python -m repro serve start --workers 4 --max-cache-mb 512
@@ -396,7 +396,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(format_table(
         ["scheme", "inst/s (best)", "inst/s (mean)", "wall s"], rows
     ))
-    print(f"peak RSS {report['peak_rss_kib']} KiB, "
+    print(f"setup {report['setup_ms']:.2f} ms per simulate(), "
+          f"peak RSS {report['peak_rss_kib']} KiB, "
           f"total wall {report['wall_s']:.1f}s")
     if args.output:
         path = bench.write_report(report, args.output)
@@ -786,7 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--repeats", type=int, default=3,
                        help="simulate() runs per scheme; best is reported")
     bench.add_argument("--output", default=None, metavar="FILE",
-                       help="write the JSON report (e.g. BENCH_pr10.json)")
+                       help="write the JSON report (e.g. bench_current.json)")
     bench.add_argument("--check", default=None, metavar="FILE",
                        help="fail if inst/s regresses versus this "
                             "committed report")

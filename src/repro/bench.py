@@ -6,8 +6,10 @@ workload trace.  End-to-end grid timing (dispatch, trace cache,
 journal) is measured by ``perfbench/run.py --workload sweep-short``.
 
 Numbers land in a ``BENCH_*.json`` report (inst/s per scheme, wall
-time, peak RSS of this process and its children) so the simulator's own performance trajectory is
-tracked in the repository alongside its accuracy.
+time, peak RSS of this process and its children, and ``setup_ms``: the
+fixed cost of one ``simulate()`` call, see :func:`measure_setup`) so
+the simulator's own performance trajectory is tracked in the
+repository alongside its accuracy.
 
 The committed report doubles as a regression baseline:
 ``--check BENCH_pr10.json`` re-measures and fails when any scheme's
@@ -35,9 +37,16 @@ from pathlib import Path
 from typing import Sequence
 
 BENCH_REPORT_NAME = "BENCH_pr10.json"
+# Where fresh, uncommitted reports go (the CI throughput job and the
+# benchmarks/ session hook); the committed reference above is only
+# ever rewritten on purpose.
+CURRENT_REPORT_NAME = "bench_current.json"
 DEFAULT_WORKLOAD = "gzip"
 DEFAULT_INSTRUCTIONS = 24_000
 DEFAULT_REPEATS = 3
+# simulate() calls behind the best-of-N setup_ms figure; each costs
+# well under a millisecond, so many repeats are cheap.
+SETUP_REPEATS = 20
 # One number, used everywhere: the default for --max-regression AND the
 # value CI passes explicitly.  Keep the docstring above in sync.
 DEFAULT_MAX_REGRESSION = 0.20
@@ -111,6 +120,27 @@ def measure_scheme(trace, scheme_id: str, repeats: int = DEFAULT_REPEATS) -> dic
     }
 
 
+def measure_setup(trace) -> float:
+    """Best-of-N wall time, in ms, of a baseline ``simulate()`` on the
+    first instruction of ``trace`` alone.
+
+    With one instruction to simulate, this is what every call pays
+    before its first instruction: building the core model, memory
+    hierarchy and branch unit, and result assembly.  Reported next to
+    inst/s, never gated on.
+    """
+    from repro.pipeline.core_model import simulate
+    from repro.trace import ColumnarTrace
+
+    one = ColumnarTrace(trace.name, [trace.instruction(0)])
+    best = float("inf")
+    for _ in range(SETUP_REPEATS):
+        start = time.perf_counter()
+        simulate(one, None)
+        best = min(best, time.perf_counter() - start)
+    return round(best * 1e3, 3)
+
+
 def run_throughput(
     workload: str = DEFAULT_WORKLOAD,
     instructions: int = DEFAULT_INSTRUCTIONS,
@@ -145,6 +175,7 @@ def run_throughput(
         if progress is not None:
             progress(scheme_id, results[scheme_id])
     report[THROUGHPUT_SECTION] = results
+    report["setup_ms"] = measure_setup(trace)
     report["wall_s"] = round(time.perf_counter() - t0, 3)
     report["peak_rss_kib"] = peak_rss_kib()
     report["children_peak_rss_kib"] = child_peak_rss_kib()

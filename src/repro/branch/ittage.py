@@ -21,15 +21,6 @@ class IttageConfig:
     max_history: int = 64
 
 
-class _Entry:
-    __slots__ = ("tag", "target", "confidence")
-
-    def __init__(self, tag: int = -1, target: int = 0, confidence: int = 0) -> None:
-        self.tag = tag
-        self.target = target
-        self.confidence = confidence
-
-
 class Ittage:
     """Indirect-branch target predictor.
 
@@ -42,9 +33,13 @@ class Ittage:
         cfg = self.config
         self.history = GlobalHistory(cfg.max_history)
         self._base: dict[int, int] = {}
-        self._tables: list[list[_Entry]] = [
-            [_Entry() for _ in range(cfg.tagged_entries)] for _ in cfg.history_lengths
-        ]
+        # The tagged components, one flat int list per field: entry
+        # ``index`` of table ``t`` lives at slot ``t * tagged_entries +
+        # index``.  Tags start at -1, which no computed tag matches.
+        slots = len(cfg.history_lengths) * cfg.tagged_entries
+        self._tags = [-1] * slots
+        self._targets = [0] * slots
+        self._conf = [0] * slots      # 2-bit hysteresis, [0, 3]
         idx_bits = cfg.tagged_entries.bit_length() - 1
         self._idx_folds = [
             self.history.folded_register(L, idx_bits) for L in cfg.history_lengths
@@ -55,10 +50,11 @@ class Ittage:
         self.predictions = 0
         self.mispredictions = 0
 
-    def _index(self, pc: int, table: int) -> int:
-        cfg = self.config
+    def _slot(self, pc: int, table: int) -> int:
+        """Flat-list position of ``table``'s entry for ``pc``."""
+        entries = self.config.tagged_entries
         folded = self._idx_folds[table].value
-        return ((pc >> 2) ^ folded ^ (table * 0x1F)) % cfg.tagged_entries
+        return table * entries + ((pc >> 2) ^ folded ^ (table * 0x1F)) % entries
 
     def _tag(self, pc: int, table: int) -> int:
         cfg = self.config
@@ -68,9 +64,9 @@ class Ittage:
     def predict(self, pc: int) -> int | None:
         """Predicted target for the indirect branch at ``pc`` (None = no idea)."""
         for table in reversed(range(len(self.config.history_lengths))):
-            entry = self._tables[table][self._index(pc, table)]
-            if entry.tag == self._tag(pc, table):
-                return entry.target
+            slot = self._slot(pc, table)
+            if self._tags[slot] == self._tag(pc, table):
+                return self._targets[slot]
         return self._base.get((pc >> 2) % self.config.base_entries)
 
     def update(self, pc: int, target: int) -> bool:
@@ -79,18 +75,20 @@ class Ittage:
         self.predictions += 1
         mispredicted = predicted != target
 
+        tags = self._tags
+        targets = self._targets
+        conf = self._conf
         provider = None
         for table in reversed(range(len(self.config.history_lengths))):
-            entry = self._tables[table][self._index(pc, table)]
-            if entry.tag == self._tag(pc, table):
+            slot = self._slot(pc, table)
+            if tags[slot] == self._tag(pc, table):
                 provider = table
-                if entry.target == target:
-                    entry.confidence = min(3, entry.confidence + 1)
+                if targets[slot] == target:
+                    conf[slot] = min(3, conf[slot] + 1)
+                elif conf[slot] == 0:
+                    targets[slot] = target
                 else:
-                    if entry.confidence == 0:
-                        entry.target = target
-                    else:
-                        entry.confidence -= 1
+                    conf[slot] -= 1
                 break
         self._base[(pc >> 2) % self.config.base_entries] = target
 
@@ -98,11 +96,11 @@ class Ittage:
             self.mispredictions += 1
             start = 0 if provider is None else provider + 1
             for table in range(start, len(self.config.history_lengths)):
-                entry = self._tables[table][self._index(pc, table)]
-                if entry.confidence == 0:
-                    entry.tag = self._tag(pc, table)
-                    entry.target = target
-                    entry.confidence = 1
+                slot = self._slot(pc, table)
+                if conf[slot] == 0:
+                    tags[slot] = self._tag(pc, table)
+                    targets[slot] = target
+                    conf[slot] = 1
                     break
         return mispredicted
 

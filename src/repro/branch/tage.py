@@ -36,15 +36,6 @@ class TageConfig:
     max_history: int = 128
 
 
-class _TaggedEntry:
-    __slots__ = ("tag", "ctr", "useful")
-
-    def __init__(self, tag: int = 0, ctr: int = 0, useful: int = 0) -> None:
-        self.tag = tag
-        self.ctr = ctr          # signed, [-4, 3] for 3 bits
-        self.useful = useful
-
-
 class Tage:
     """TAGE predictor with deterministic, seeded allocation randomness."""
 
@@ -54,10 +45,14 @@ class Tage:
         self._rng = random.Random(seed)
         self.history = GlobalHistory(cfg.max_history)
         self._base = [0] * cfg.base_entries          # 2-bit counters, [0, 3]
-        self._tables: list[list[_TaggedEntry]] = [
-            [_TaggedEntry() for _ in range(cfg.tagged_entries)]
-            for _ in cfg.history_lengths
-        ]
+        # The tagged components, one flat int list per field: entry
+        # ``index`` of table ``t`` lives at slot ``t * tagged_entries +
+        # index``.  Every field starts at 0: a never-written entry
+        # matches tag 0 with a weak-taken counter (the goldens pin it).
+        slots = len(cfg.history_lengths) * cfg.tagged_entries
+        self._tags = [0] * slots
+        self._ctrs = [0] * slots      # signed, [-4, 3] for 3 bits
+        self._useful = [0] * slots
         idx_bits = cfg.tagged_entries.bit_length() - 1
         self._idx_bits = idx_bits
         self._idx_folds = [
@@ -180,16 +175,18 @@ class Tage:
         provider_pred = None
         alt_pred = self._base[self._base_index(pc)] >= 2
         keys = self._keys(pc)
-        tables = self._tables
+        tags = self._tags
+        ctrs = self._ctrs
+        entries = self._entries_count
         for table in range(len(keys) - 1, -1, -1):
             index, tag = keys[table]
-            entry = tables[table][index]
-            if entry.tag == tag:
+            slot = table * entries + index
+            if tags[slot] == tag:
                 if provider is None:
                     provider = table
-                    provider_pred = entry.ctr >= 0
+                    provider_pred = ctrs[slot] >= 0
                 else:
-                    alt_pred = entry.ctr >= 0
+                    alt_pred = ctrs[slot] >= 0
                     break
         if provider is None:
             return alt_pred, None, alt_pred
@@ -224,17 +221,19 @@ class Tage:
             self._base[base_idx] = min(3, counter + 1) if taken else max(0, counter - 1)
 
         if provider is not None:
-            entry = self._tables[provider][self._keys(pc)[provider][0]]
+            slot = provider * self._entries_count + self._keys(pc)[provider][0]
+            ctr = self._ctrs[slot]
             if taken:
-                entry.ctr = min(self._ctr_max, entry.ctr + 1)
+                self._ctrs[slot] = min(self._ctr_max, ctr + 1)
             else:
-                entry.ctr = max(self._ctr_min, entry.ctr - 1)
+                self._ctrs[slot] = max(self._ctr_min, ctr - 1)
             provider_pred = prediction
             if provider_pred != alt_pred:
+                useful = self._useful[slot]
                 if provider_pred == taken:
-                    entry.useful = min(self._useful_max, entry.useful + 1)
+                    self._useful[slot] = min(self._useful_max, useful + 1)
                 else:
-                    entry.useful = max(0, entry.useful - 1)
+                    self._useful[slot] = max(0, useful - 1)
 
         if mispredicted:
             self.mispredictions += 1
@@ -244,16 +243,21 @@ class Tage:
     def _allocate(self, pc: int, taken: bool, provider: int | None) -> None:
         """Allocate in one table with longer history than the provider."""
         keys = self._keys(pc)
+        useful = self._useful
+        entries = self._entries_count
         start = 0 if provider is None else provider + 1
+        slots = [
+            table * entries + keys[table][0]
+            for table in range(start, len(self.config.history_lengths))
+        ]
         candidates = [
             table
-            for table in range(start, len(self.config.history_lengths))
-            if self._tables[table][keys[table][0]].useful == 0
+            for table, slot in enumerate(slots, start)
+            if useful[slot] == 0
         ]
         if not candidates:
-            for table in range(start, len(self.config.history_lengths)):
-                entry = self._tables[table][keys[table][0]]
-                entry.useful = max(0, entry.useful - 1)
+            for slot in slots:
+                useful[slot] = max(0, useful[slot] - 1)
             return
         # Prefer shorter history with probability 1/2 each step, the
         # usual TAGE anti-ping-pong heuristic.
@@ -262,10 +266,10 @@ class Tage:
             if self._rng.random() < 0.5:
                 break
             chosen = candidate
-        entry = self._tables[chosen][keys[chosen][0]]
-        entry.tag = keys[chosen][1]
-        entry.ctr = 0 if taken else -1
-        entry.useful = 0
+        slot = chosen * entries + keys[chosen][0]
+        self._tags[slot] = keys[chosen][1]
+        self._ctrs[slot] = 0 if taken else -1
+        useful[slot] = 0
 
     def make_update_fused(self, unit_stats=None):
         """Build a closure fusing :meth:`update` + :meth:`update_history`.
@@ -281,7 +285,10 @@ class Tage:
         s = self
         hist = self.history
         hist_mask = hist._mask
-        tables = self._tables
+        tags = self._tags
+        ctrs = self._ctrs
+        useful = self._useful
+        entries = self._entries_count
         base = self._base
         base_entries = self.config.base_entries
         ctr_max = self._ctr_max
@@ -305,19 +312,19 @@ class Tage:
                 keys = keys_live(pc)
             # _lookup, inlined (alt_pred falls back to bimodal lazily).
             provider = None
-            provider_entry = None
+            provider_slot = 0
             prediction = False
             alt_pred = None
             for table in range(len(keys) - 1, -1, -1):
                 index, tag = keys[table]
-                entry = tables[table][index]
-                if entry.tag == tag:
+                slot = table * entries + index
+                if tags[slot] == tag:
                     if provider is None:
                         provider = table
-                        provider_entry = entry
-                        prediction = entry.ctr >= 0
+                        provider_slot = slot
+                        prediction = ctrs[slot] >= 0
                     else:
-                        alt_pred = entry.ctr >= 0
+                        alt_pred = ctrs[slot] >= 0
                         break
             base_idx = (pc >> 2) % base_entries
             if alt_pred is None:
@@ -334,16 +341,17 @@ class Tage:
                 )
 
             if provider is not None:
-                entry = provider_entry
+                ctr = ctrs[provider_slot]
                 if taken:
-                    entry.ctr = min(ctr_max, entry.ctr + 1)
+                    ctrs[provider_slot] = min(ctr_max, ctr + 1)
                 else:
-                    entry.ctr = max(ctr_min, entry.ctr - 1)
+                    ctrs[provider_slot] = max(ctr_min, ctr - 1)
                 if prediction != alt_pred:
+                    u = useful[provider_slot]
                     if prediction == taken:
-                        entry.useful = min(useful_max, entry.useful + 1)
+                        useful[provider_slot] = min(useful_max, u + 1)
                     else:
-                        entry.useful = max(0, entry.useful - 1)
+                        useful[provider_slot] = max(0, u - 1)
 
             if mispredicted:
                 s.mispredictions += 1

@@ -384,7 +384,6 @@ class DlvpEngine:
         tlb_stats = hierarchy._tlb_stats
         tlb_fill = hierarchy._tlb_array.fill
         l1_shift = hierarchy._l1_shift
-        l1_mask = hierarchy._l1_mask
         l1_where = hierarchy._l1_where
         l1_stats = hierarchy._l1_stats
         prefetch_fill = hierarchy.prefetch_fill
@@ -505,10 +504,9 @@ class DlvpEngine:
                 stats.probes_way_predicted += 1
             # hierarchy.probe_l1, inlined: TLB translate, L1 residency.
             block = entry_addr >> tlb_shift
-            set_idx = block & tlb_mask
-            way = tlb_where[set_idx].get(block)
+            way = tlb_where.get(block)
             if way is not None:
-                lru = tlb_lru[set_idx]
+                lru = tlb_lru[block & tlb_mask]
                 if lru[0] != way:
                     lru.remove(way)
                     lru.insert(0, way)
@@ -517,7 +515,7 @@ class DlvpEngine:
                 tlb_stats.misses += 1
                 tlb_fill(entry_addr)
             block = entry_addr >> l1_shift
-            actual_way = l1_where[block & l1_mask].get(block)
+            actual_way = l1_where.get(block)
             if actual_way is not None:
                 l1_stats.probe_hits += 1
                 hit = True

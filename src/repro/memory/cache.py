@@ -57,33 +57,25 @@ class CacheStats:
 class Cache:
     """One level of set-associative cache.
 
-    Each set is an ordered list of block tags, most-recently-used first.
-    Way numbers are stable per block: a block keeps its way until
-    evicted.  This matches hardware, where LRU state is metadata and
-    blocks do not migrate between ways.
+    Residency is one ``block -> way`` dict for the whole cache (the
+    block number already fixes the set).  Each set's way array (way ->
+    block, ``None`` = invalid) and LRU order (occupied ways, MRU first)
+    are created by the first :meth:`fill` into that set, so building a
+    cache costs the same at 64 sets as at 4,096 and a run pays only for
+    the sets its trace touches.  Way numbers are stable per block: a
+    block keeps its way until evicted, and a fill takes the lowest free
+    way before evicting.  This matches hardware, where LRU state is
+    metadata and blocks do not migrate between ways.
     """
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self.stats = CacheStats()
-        num_sets = config.num_sets
         self._set_shift = config.block_bytes.bit_length() - 1
-        self._set_mask = num_sets - 1
-        # Per set: way -> block address (None = invalid), plus LRU order
-        # of occupied ways (MRU first), plus a block -> way index so the
-        # residency check on the simulator hot path is one dict probe
-        # instead of an associativity-wide scan.
-        self._ways: list[list[int | None]] = [
-            [None] * config.associativity for _ in range(num_sets)
-        ]
-        self._lru: list[list[int]] = [[] for _ in range(num_sets)]
-        self._where: list[dict[int, int]] = [{} for _ in range(num_sets)]
-
-    def _set_index(self, addr: int) -> int:
-        return (addr >> self._set_shift) & self._set_mask
-
-    def _block_addr(self, addr: int) -> int:
-        return addr >> self._set_shift
+        self._set_mask = config.num_sets - 1
+        self._where: dict[int, int] = {}
+        self._ways: dict[int, list[int | None]] = {}
+        self._lru: dict[int, list[int]] = {}
 
     def lookup(self, addr: int, update_lru: bool = True) -> tuple[bool, int | None]:
         """Check residency without allocating.
@@ -93,12 +85,11 @@ class Cache:
             ``None``.
         """
         block = addr >> self._set_shift
-        set_idx = block & self._set_mask
-        way = self._where[set_idx].get(block)
+        way = self._where.get(block)
         if way is None:
             return False, None
         if update_lru:
-            lru = self._lru[set_idx]
+            lru = self._lru[block & self._set_mask]
             if lru[0] != way:
                 lru.remove(way)
                 lru.insert(0, way)
@@ -112,10 +103,9 @@ class Cache:
         delegating to :meth:`lookup`) — this is the hot path.
         """
         block = addr >> self._set_shift
-        set_idx = block & self._set_mask
-        way = self._where[set_idx].get(block)
+        way = self._where.get(block)
         if way is not None:
-            lru = self._lru[set_idx]
+            lru = self._lru[block & self._set_mask]
             if lru[0] != way:
                 lru.remove(way)
                 lru.insert(0, way)
@@ -126,8 +116,7 @@ class Cache:
 
     def probe(self, addr: int) -> tuple[bool, int | None]:
         """Speculative (DLVP-style) probe: never allocates or reorders LRU."""
-        block = addr >> self._set_shift
-        way = self._where[block & self._set_mask].get(block)
+        way = self._where.get(addr >> self._set_shift)
         if way is not None:
             self.stats.probe_hits += 1
             return True, way
@@ -140,44 +129,43 @@ class Cache:
         Filling an already-resident block just refreshes its LRU
         position.
         """
-        hit, way = self.lookup(addr)
-        if hit:
-            assert way is not None
+        block = addr >> self._set_shift
+        set_idx = block & self._set_mask
+        where = self._where
+        way = where.get(block)
+        lru = self._lru.get(set_idx)
+        if way is not None:
+            if lru[0] != way:
+                lru.remove(way)
+                lru.insert(0, way)
             return way
-        set_idx = self._set_index(addr)
-        block = self._block_addr(addr)
-        ways = self._ways[set_idx]
-        lru = self._lru[set_idx]
-        where = self._where[set_idx]
-        for candidate, resident in enumerate(ways):
-            if resident is None:
-                ways[candidate] = block
-                where[block] = candidate
-                lru.insert(0, candidate)
-                return candidate
-        victim = lru.pop()
-        evicted = ways[victim]
-        assert evicted is not None
-        del where[evicted]
-        ways[victim] = block
-        where[block] = victim
-        lru.insert(0, victim)
-        self.stats.evictions += 1
-        return victim
+        if lru is None:
+            ways = self._ways[set_idx] = [None] * self.config.associativity
+            lru = self._lru[set_idx] = []
+        else:
+            ways = self._ways[set_idx]
+        if len(lru) < len(ways):
+            way = ways.index(None)
+        else:
+            way = lru.pop()
+            del where[ways[way]]
+            self.stats.evictions += 1
+        ways[way] = block
+        where[block] = way
+        lru.insert(0, way)
+        return way
 
     def invalidate(self, addr: int) -> bool:
         """Drop the block for ``addr`` if resident; True if it was."""
-        set_idx = self._set_index(addr)
-        block = self._block_addr(addr)
-        way = self._where[set_idx].pop(block, None)
+        block = addr >> self._set_shift
+        way = self._where.pop(block, None)
         if way is None:
             return False
+        set_idx = block & self._set_mask
         self._ways[set_idx][way] = None
         self._lru[set_idx].remove(way)
         return True
 
     def resident_blocks(self) -> int:
         """Number of valid blocks (for tests and occupancy reporting)."""
-        return sum(
-            1 for ways in self._ways for resident in ways if resident is not None
-        )
+        return len(self._where)

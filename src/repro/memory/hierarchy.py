@@ -73,8 +73,9 @@ class MemoryHierarchy:
         # The TLB's backing cache array and miss penalty, resolved once:
         # every demand access and every DLVP probe translates, so the
         # Tlb.access wrapper call was pure hot-path overhead.  The cache
-        # internals aliased below are created once by Cache.__init__ and
-        # only ever mutated in place, so the references stay valid.
+        # internals aliased below (the block -> way dict and the per-set
+        # LRU dict) are created once by Cache.__init__ and only ever
+        # mutated in place, so the references stay valid.
         self._tlb_array = self.tlb._array
         self._tlb_penalty = self.tlb.config.miss_penalty
         tlb_array = self._tlb_array
@@ -99,10 +100,9 @@ class MemoryHierarchy:
         """
         self.demand_accesses += 1
         block = addr >> self._tlb_shift
-        set_idx = block & self._tlb_mask
-        way = self._tlb_where[set_idx].get(block)
+        way = self._tlb_where.get(block)
         if way is not None:
-            lru = self._tlb_lru[set_idx]
+            lru = self._tlb_lru[block & self._tlb_mask]
             if lru[0] != way:
                 lru.remove(way)
                 lru.insert(0, way)
@@ -115,10 +115,9 @@ class MemoryHierarchy:
             tlb_hit = False
             latency = self._l1_latency + self._tlb_penalty
         block = addr >> self._l1_shift
-        set_idx = block & self._l1_mask
-        way = self._l1_where[set_idx].get(block)
+        way = self._l1_where.get(block)
         if way is not None:
-            lru = self._l1_lru[set_idx]
+            lru = self._l1_lru[block & self._l1_mask]
             if lru[0] != way:
                 lru.remove(way)
                 lru.insert(0, way)
@@ -156,10 +155,9 @@ class MemoryHierarchy:
         TLB access and L1 probe bodies inlined, as in :meth:`access`.
         """
         block = addr >> self._tlb_shift
-        set_idx = block & self._tlb_mask
-        way = self._tlb_where[set_idx].get(block)
+        way = self._tlb_where.get(block)
         if way is not None:
-            lru = self._tlb_lru[set_idx]
+            lru = self._tlb_lru[block & self._tlb_mask]
             if lru[0] != way:
                 lru.remove(way)
                 lru.insert(0, way)
@@ -168,7 +166,7 @@ class MemoryHierarchy:
             self._tlb_stats.misses += 1
             self._tlb_array.fill(addr)
         block = addr >> self._l1_shift
-        way = self._l1_where[block & self._l1_mask].get(block)
+        way = self._l1_where.get(block)
         if way is not None:
             self._l1_stats.probe_hits += 1
             return True, way

@@ -29,6 +29,12 @@ into locals, the per-word store tracking
 dicts are pruned as stores retire (they are otherwise O(trace) — a
 memory leak and a dict-miss slowdown on long traces), and issue-port
 busy maps are pruned below the monotonically advancing fetch cycle.
+Every call builds a fresh substrate, so that build is near free: cache
+sets come into being on their first fill (residency is one
+``block -> way`` dict per cache, probed inline below) and TAGE/ITTAGE
+tables are flat int lists, not per-entry objects.  A one-instruction
+run costs ~0.2 ms, and the cyclic GC has few long-lived containers to
+re-scan while the loop allocates.
 All of it is outcome-preserving; the golden equivalence test pins every
 suite kernel's ``SimResult`` to the seed model bit for bit.
 """
@@ -259,8 +265,9 @@ def simulate(
     gen_width = gen_ports.width
     # Memory-hierarchy state, inlined: the demand-access TLB/L1 paths
     # are expanded in place in the load/store blocks below (the aliased
-    # structures are created once by Cache.__init__ and only mutated in
-    # place, so the references stay valid for the whole run).
+    # block -> way and per-set LRU dicts are created once by
+    # Cache.__init__ and only mutated in place, so the references stay
+    # valid for the whole run).
     demand_accesses = hierarchy.demand_accesses
     l1_latency = hierarchy._l1_latency
     tlb_penalty = hierarchy._tlb_penalty
@@ -464,10 +471,9 @@ def simulate(
                 # hierarchy.access(), inlined: TLB, then L1, then
                 # prefetcher.
                 block = addr >> tlb_shift
-                set_idx = block & tlb_mask
-                way = tlb_where[set_idx].get(block)
+                way = tlb_where.get(block)
                 if way is not None:
-                    lru = tlb_lru[set_idx]
+                    lru = tlb_lru[block & tlb_mask]
                     if lru[0] != way:
                         lru.remove(way)
                         lru.insert(0, way)
@@ -478,10 +484,9 @@ def simulate(
                     tlb_fill(addr)
                     acc_latency = l1_latency + tlb_penalty
                 block = addr >> l1_shift
-                set_idx = block & l1_mask
-                acc_way = l1_where[set_idx].get(block)
+                acc_way = l1_where.get(block)
                 if acc_way is not None:
-                    lru = l1_lru[set_idx]
+                    lru = l1_lru[block & l1_mask]
                     if lru[0] != acc_way:
                         lru.remove(acc_way)
                         lru.insert(0, acc_way)
@@ -542,10 +547,9 @@ def simulate(
                 # hierarchy.access(is_store=True), inlined: TLB then L1,
                 # no prefetcher training on stores.
                 block = addr >> tlb_shift
-                set_idx = block & tlb_mask
-                way = tlb_where[set_idx].get(block)
+                way = tlb_where.get(block)
                 if way is not None:
-                    lru = tlb_lru[set_idx]
+                    lru = tlb_lru[block & tlb_mask]
                     if lru[0] != way:
                         lru.remove(way)
                         lru.insert(0, way)
@@ -554,10 +558,9 @@ def simulate(
                     tlb_stats.misses += 1
                     tlb_fill(addr)
                 block = addr >> l1_shift
-                set_idx = block & l1_mask
-                acc_way = l1_where[set_idx].get(block)
+                acc_way = l1_where.get(block)
                 if acc_way is not None:
-                    lru = l1_lru[set_idx]
+                    lru = l1_lru[block & l1_mask]
                     if lru[0] != acc_way:
                         lru.remove(acc_way)
                         lru.insert(0, acc_way)

@@ -158,3 +158,105 @@ class TestProperties:
             c.access(addr)
         assert c.stats.hits + c.stats.misses == len(addrs)
         assert 0.0 <= c.stats.hit_rate <= 1.0
+
+
+class _TrueLruModel:
+    """Reference cache: per-way blocks plus last-use timestamps.
+
+    Independent of :class:`Cache`'s bookkeeping: the LRU victim is the
+    occupied way with the oldest timestamp, a fill takes the lowest
+    free way first, and a block never moves between ways while
+    resident.
+    """
+
+    def __init__(self, sets, assoc, block_bytes):
+        self.sets = sets
+        self.block_bytes = block_bytes
+        self.lines = [[None] * assoc for _ in range(sets)]
+        self.last_use = [[0] * assoc for _ in range(sets)]
+        self.clock = 0
+        self.evictions = 0
+
+    def _locate(self, addr):
+        block = addr // self.block_bytes
+        ways = self.lines[block % self.sets]
+        return block, block % self.sets, (ways.index(block) if block in ways else None)
+
+    def _touch(self, set_idx, way):
+        self.clock += 1
+        self.last_use[set_idx][way] = self.clock
+
+    def lookup(self, addr, update_lru=True):
+        _, set_idx, way = self._locate(addr)
+        if way is None:
+            return False, None
+        if update_lru:
+            self._touch(set_idx, way)
+        return True, way
+
+    def probe(self, addr):
+        return self.lookup(addr, update_lru=False)
+
+    def fill(self, addr):
+        block, set_idx, way = self._locate(addr)
+        if way is None:
+            ways = self.lines[set_idx]
+            if None in ways:
+                way = ways.index(None)
+            else:
+                way = min(range(len(ways)), key=lambda w: self.last_use[set_idx][w])
+                self.evictions += 1
+            ways[way] = block
+        self._touch(set_idx, way)
+        return way
+
+    def access(self, addr):
+        hit, way = self.lookup(addr)
+        return (True, way) if hit else (False, self.fill(addr))
+
+    def invalidate(self, addr):
+        _, set_idx, way = self._locate(addr)
+        if way is None:
+            return False
+        self.lines[set_idx][way] = None
+        return True
+
+    def resident_blocks(self):
+        return sum(b is not None for ways in self.lines for b in ways)
+
+
+_CACHE_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["access", "fill", "lookup", "peek", "probe", "invalidate"]
+        ),
+        st.integers(min_value=0, max_value=11),    # block: 3 per set
+        st.integers(min_value=0, max_value=63),    # byte offset
+    ),
+    min_size=20,
+    max_size=200,
+)
+
+
+class TestLruModel:
+    @settings(max_examples=300)
+    @given(_CACHE_OPS)
+    def test_matches_true_lru_model(self, ops):
+        # 4 sets x 2 ways: sets are created lazily by the first fill, so
+        # every stream mixes cold sets, full sets and invalidated ways.
+        cache = small_cache(assoc=2, sets=4, block=64)
+        model = _TrueLruModel(sets=4, assoc=2, block_bytes=64)
+        for op, block, offset in ops:
+            addr = block * 64 + offset
+            if op == "peek":
+                got = cache.lookup(addr, update_lru=False)
+                want = model.lookup(addr, update_lru=False)
+            else:
+                got = getattr(cache, op)(addr)
+                want = getattr(model, op)(addr)
+            assert got == want, (op, hex(addr))
+            assert cache.stats.evictions == model.evictions
+            assert cache.resident_blocks() == model.resident_blocks()
+            for other in range(12):
+                assert (cache.lookup(other * 64, update_lru=False)
+                        == model.lookup(other * 64, update_lru=False))

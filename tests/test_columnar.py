@@ -12,7 +12,8 @@ object world:
 * serialization streams on both ends (the regression tests here fail
   against the old buffer-everything save/load);
 * the bench gate's three voices (``bench.py`` default, the CI
-  invocation, the committed report) say the same thing.
+  invocation, the committed report) say the same thing, and only a
+  deliberate step rewrites that committed report.
 
 The *simulated-outcome* equivalence of the two engines lives in
 ``test_golden_simresults.py``, which runs every golden cell through
@@ -21,9 +22,11 @@ both.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import re
 import tracemalloc
+from types import SimpleNamespace
 from pathlib import Path
 
 import pytest
@@ -449,3 +452,39 @@ def test_check_regression_warns_and_skips_mismatched_reports():
     assert len(failures) == 1 and failures[0].startswith("object/dlvp")
     # and the warnings list stays optional
     assert bench.check_regression({"schemes": {}}, committed, 0.20) == []
+
+
+def test_throughput_report_records_setup_cost_ungated():
+    report = bench.run_throughput(instructions=300, schemes=("baseline",),
+                                  repeats=1)
+    assert 0 < report["setup_ms"] < report["wall_s"] * 1e3
+    # setup_ms is informational: a 1000x slower setup fails nothing
+    committed = {**report, "setup_ms": report["setup_ms"] / 1000}
+    warnings: list[str] = []
+    assert bench.check_regression(report, committed, 0.20,
+                                  warnings=warnings) == []
+    assert warnings == []
+
+
+def test_benchmark_session_never_rewrites_committed_report(monkeypatch):
+    """The benchmarks/ session hook writes the uncommitted current report;
+    the committed reference the CI gate reads stays as it is."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_conftest", REPO_ROOT / "benchmarks" / "conftest.py")
+    conftest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(conftest)
+    written = []
+    monkeypatch.setattr(bench, "run_throughput",
+                        lambda: {bench.THROUGHPUT_SECTION: {}})
+    monkeypatch.setattr(bench, "write_report",
+                        lambda report, path: written.append(Path(path)))
+    monkeypatch.delenv("REPRO_BENCH_THROUGHPUT", raising=False)
+    session = SimpleNamespace(config=SimpleNamespace(
+        option=SimpleNamespace(collectonly=False),
+        pluginmanager=SimpleNamespace(get_plugin=lambda name: None),
+    ))
+    conftest.pytest_sessionfinish(session, 0)
+    assert [p.name for p in written] == [bench.CURRENT_REPORT_NAME]
+    assert bench.CURRENT_REPORT_NAME != bench.BENCH_REPORT_NAME
+    gitignore = (REPO_ROOT / ".gitignore").read_text().split()
+    assert bench.CURRENT_REPORT_NAME in gitignore

@@ -1,8 +1,13 @@
 """Tests for the out-of-order core timing model."""
 
+import gc
+import tracemalloc
+
 import pytest
 
+from repro.branch import BranchUnit
 from repro.isa import Instruction, OpClass
+from repro.memory import MemoryHierarchy
 from repro.pipeline import (
     CoreConfig,
     DlvpScheme,
@@ -198,3 +203,40 @@ class TestDeterminism:
         t = build_workload("vortex", 3000)
         assert simulate(t, scheme=DlvpScheme()).cycles == \
             simulate(t, scheme=DlvpScheme()).cycles
+
+
+class TestSubstrateConstructionBudget:
+    """Every simulate() builds a fresh timing substrate, so building one
+    must cost (almost) nothing: cache sets are created by their first
+    fill and predictor tables are flat int lists.  These bounds sit far
+    below what per-set or per-entry preallocation costs (~1.5 MiB and
+    ~9.9k GC-tracked objects for the hierarchy, ~530 KiB and ~7.8k for
+    the branch unit), so either coming back fails here."""
+
+    @staticmethod
+    def _footprint(factory):
+        factory()                       # warm imports and lazy caches
+        gc.collect()
+        gc.disable()
+        try:
+            objects_before = len(gc.get_objects())
+            tracemalloc.start()
+            try:
+                built = factory()
+                retained, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            objects = len(gc.get_objects()) - objects_before
+        finally:
+            gc.enable()
+        del built
+        return retained, objects
+
+    @pytest.mark.parametrize("factory, max_kib, max_objects", [
+        (MemoryHierarchy, 64, 200),
+        (BranchUnit, 384, 400),
+    ], ids=["hierarchy", "branch_unit"])
+    def test_construction_allocates_little(self, factory, max_kib, max_objects):
+        retained, objects = self._footprint(factory)
+        assert retained <= max_kib * 1024, f"{retained / 1024:.0f} KiB"
+        assert objects <= max_objects, f"{objects} GC-tracked objects"
