@@ -13,11 +13,6 @@ Commands:
 * ``trace <workload>``             — one traced simulation (Chrome trace +
   interval metrics + flight recorder; see :mod:`repro.observe`)
 * ``observe report``               — interval-metrics report from a journal
-* ``serve start|submit|watch|status|shutdown`` — the multi-tenant
-  simulation farm (see :mod:`repro.serve`): ``start`` runs the
-  gateway, ``submit`` sends a grid to it (falling back to in-process
-  execution when no server is reachable), ``watch`` streams the farm's
-  live journal, ``shutdown`` drains it gracefully
 
 ``run``, ``figure``, ``sweep`` and ``chaos`` go through
 :mod:`repro.runtime`: ``--jobs N`` fans simulation out over N worker
@@ -51,10 +46,6 @@ Examples::
     python -m repro bench throughput --output bench_current.json
     python -m repro cache verify
     python -m repro cache gc --max-age-days 30 --max-size-mb 512
-    python -m repro serve start --workers 4 --max-cache-mb 512
-    python -m repro serve submit --schemes dlvp vtage --workloads gzip nat
-    python -m repro serve status
-    python -m repro serve shutdown
 """
 
 from __future__ import annotations
@@ -532,154 +523,6 @@ def cmd_observe(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    """The simulation-farm verbs: start, submit, watch, status, shutdown.
-
-    ``start`` blocks running the gateway (SIGINT/SIGTERM drain it
-    gracefully); the other verbs are thin protocol clients resolving
-    the server address from ``--host/--port``, then the ``serve.addr``
-    advertisement under the cache root.  ``submit`` degrades to
-    in-process execution when no server is reachable (unless
-    ``--no-fallback``), so scripts written against the farm also run
-    on a bare laptop.
-    """
-    from repro import serve
-
-    cache_dir = Path(args.cache_dir) if args.cache_dir else None
-
-    if args.verb == "start":
-        server = serve.SweepServer(
-            host=args.host or serve.DEFAULT_HOST,
-            port=args.port if args.port is not None else serve.DEFAULT_PORT,
-            workers=args.workers,
-            cache_dir=cache_dir,
-            use_cache=not args.no_cache,
-            journal_path=args.journal,
-            timeout=args.timeout,
-            retries=args.retries,
-            backoff=args.backoff,
-            timeout_factor=args.timeout_escalation,
-            fault_spec=args.fault,
-            max_cache_mb=args.max_cache_mb,
-            max_pending_per_tenant=args.max_pending,
-            max_pending_total=args.max_queued,
-            max_pending_cost=args.max_queued_cost,
-            lease_timeout=args.lease_timeout,
-            heartbeat=args.heartbeat,
-            grace=args.grace,
-        )
-
-        def ready(host: str, port: int) -> None:
-            print(f"serving on {host}:{port} ({args.workers} workers); "
-                  f"stop with Ctrl-C or 'repro serve shutdown'",
-                  file=sys.stderr)
-
-        return server.run(ready=ready)
-
-    def show_event(event: dict) -> None:
-        kind = event.get("event") or event.get("type")
-        key = (event.get("key") or "")[:12]
-        where = (f"{event.get('workload')}/{event.get('scheme')}"
-                 if event.get("workload") else event.get("tenant", ""))
-        print(f"  [{kind}] {where} {key}", file=sys.stderr)
-
-    def show_response(response) -> int:
-        rows = [
-            [cell.workload, cell.scheme, cell.status,
-             "resumed" if cell.resumed else
-             ("hit" if cell.cache_hit else
-              ("shared" if cell.shared else f"x{cell.attempts}")),
-             f"{cell.result.ipc:5.2f}" if cell.result else "-",
-             (cell.error or "")[:48]]
-            for cell in response.cells.values()
-        ]
-        print(format_table(
-            ["workload", "scheme", "status", "via", "ipc", "error"], rows
-        ))
-        print(response.format_summary())
-        return 0 if response.complete else 1
-
-    try:
-        if args.verb == "submit":
-            on_event = None if args.quiet else show_event
-            if args.no_fallback:
-                client = serve.ServeClient(host=args.host, port=args.port,
-                                           cache_dir=cache_dir)
-                response = client.submit(
-                    args.schemes, args.workloads or workload_names(),
-                    n_instructions=args.instructions, recovery=args.recovery,
-                    tenant=args.tenant, on_event=on_event,
-                    reconnects=args.reconnects,
-                )
-            else:
-                response = serve.submit_or_local(
-                    args.schemes, args.workloads or workload_names(),
-                    n_instructions=args.instructions, recovery=args.recovery,
-                    tenant=args.tenant, host=args.host, port=args.port,
-                    cache_dir=cache_dir, jobs=args.local_jobs,
-                    on_event=on_event, reconnects=args.reconnects,
-                )
-            return show_response(response)
-        if args.verb == "resume":
-            client = serve.ServeClient(host=args.host, port=args.port,
-                                       cache_dir=cache_dir)
-            response = client.resume(
-                args.ticket,
-                on_event=None if args.quiet else show_event,
-                reconnects=args.reconnects,
-            )
-            return show_response(response)
-        if args.verb == "watch":
-            client = serve.ServeClient(host=args.host, port=args.port,
-                                       cache_dir=cache_dir)
-            terminal = client.watch(show_event)
-            print(f"server shut down ({terminal.get('reason')}): "
-                  f"{terminal.get('completed', 0)} completed, "
-                  f"{terminal.get('interrupted', 0)} interrupted",
-                  file=sys.stderr)
-            return 0
-        client = serve.ServeClient(host=args.host, port=args.port,
-                                   cache_dir=cache_dir)
-        if args.verb == "status":
-            status = client.status()
-            print(f"server {status.get('server')} at "
-                  f"{status.get('host')}:{status.get('port')} — "
-                  f"up {status.get('uptime_s', 0):.0f}s, "
-                  f"{status.get('busy')}/{status.get('workers')} workers busy, "
-                  f"{status.get('queued')} queued, "
-                  f"{status.get('inflight')} in flight, "
-                  f"{status.get('watchers')} watchers, "
-                  f"{status.get('tickets', 0)} live tickets")
-            overload = status.get("overload") or {}
-            if overload.get("overloaded"):
-                print(f"OVERLOADED: {overload.get('queued')} cells queued "
-                      f"(bound {overload.get('bound')}), retry_after "
-                      f"{overload.get('retry_after')}s, "
-                      f"{overload.get('rejected', 0)} rejected so far")
-            cache_stats = status.get("cache") or {}
-            if cache_stats:
-                print(f"cache: {cache_stats.get('results', 0)} results, "
-                      f"{cache_stats.get('traces', 0)} traces, "
-                      f"{cache_stats.get('quarantined', 0)} quarantined, "
-                      f"{cache_stats.get('bytes', 0)} bytes")
-            counters = status.get("counters") or {}
-            if counters:
-                print("counters: " + ", ".join(
-                    f"{k}={v}" for k, v in sorted(counters.items())
-                ))
-            return 0
-        # verb == "shutdown"
-        client.shutdown(grace=args.grace)
-        print("server draining", file=sys.stderr)
-        return 0
-    except serve.ServeUnavailable as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
-    except serve.ServeError as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 1
-
-
 def cmd_profile(args: argparse.Namespace) -> int:
     for name in args.workloads:
         trace = build_workload(name, args.instructions)
@@ -830,116 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--last", type=int, default=8,
                      help="show at most the last N traced runs (default 8)")
 
-    srv = sub.add_parser(
-        "serve",
-        help="multi-tenant simulation farm: start the gateway, submit "
-             "grids to it, watch its journal, drain it",
-    )
-    srv_sub = srv.add_subparsers(dest="verb", required=True)
-
-    start = srv_sub.add_parser("start", help="run the farm gateway (blocks)")
-    start.add_argument("--host", default=None,
-                       help="bind address (default 127.0.0.1)")
-    start.add_argument("--port", type=int, default=None,
-                       help="bind port (default 8790; 0 = ephemeral)")
-    start.add_argument("--workers", type=int, default=2, metavar="N",
-                       help="crash-isolated worker leases (default 2)")
-    start.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="shared store root; its serve.addr file "
-                            "advertises this server to clients")
-    start.add_argument("--no-cache", action="store_true",
-                       help="serve without the shared result store")
-    start.add_argument("--journal", default=None, metavar="FILE",
-                       help="farm journal (default: <cache-dir>/serve.jsonl)")
-    start.add_argument("--timeout", type=float, default=None,
-                       metavar="SECONDS", help="per-job wall-clock limit")
-    start.add_argument("--retries", type=int, default=1, metavar="N")
-    start.add_argument("--backoff", type=float, default=0.0,
-                       metavar="SECONDS")
-    start.add_argument("--timeout-escalation", type=float, default=None,
-                       metavar="FACTOR")
-    start.add_argument("--fault", default=None, metavar="SPEC",
-                       help="inject deterministic faults into farm workers "
-                            f"(default: ${FAULT_SPEC_ENV})")
-    start.add_argument("--max-cache-mb", type=float, default=None,
-                       help="LRU-evict the shared store past this size")
-    start.add_argument("--max-pending", type=int, default=512, metavar="N",
-                       help="per-tenant queue bound (default 512)")
-    start.add_argument("--max-queued", type=int, default=None, metavar="N",
-                       help="global queued-cell bound; submissions past it "
-                            "are shed with a retry_after hint")
-    start.add_argument("--max-queued-cost", type=int, default=None,
-                       metavar="INSTRUCTIONS",
-                       help="global queued-work bound in simulated "
-                            "instructions (admission control)")
-    start.add_argument("--lease-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="watchdog: reap a worker attempt running "
-                            "longer than this (hung-worker recovery)")
-    start.add_argument("--heartbeat", type=float, default=None,
-                       metavar="SECONDS",
-                       help="journal a worker_heartbeat at this interval "
-                            "while an attempt runs")
-    start.add_argument("--grace", type=float, default=10.0, metavar="SECONDS",
-                       help="shutdown drain window before in-flight work "
-                            "is interrupted (default 10)")
-
-    submit = srv_sub.add_parser(
-        "submit", help="submit a sweep grid (falls back to in-process "
-                       "execution when no server is reachable)"
-    )
-    submit.add_argument("--schemes", nargs="+", required=True,
-                        metavar="scheme")
-    submit.add_argument("--workloads", nargs="*", default=None,
-                        choices=sorted(SUITE), metavar="workload",
-                        help="workload subset (default: whole suite)")
-    submit.add_argument("--instructions", type=int, default=8_000)
-    submit.add_argument("--recovery", default="flush",
-                        choices=[m.value for m in RecoveryMode])
-    submit.add_argument("--tenant", default="default",
-                        help="fairness/accounting identity (default: "
-                             "'default')")
-    submit.add_argument("--quiet", action="store_true",
-                        help="do not stream per-job progress to stderr")
-    submit.add_argument("--no-fallback", action="store_true",
-                        help="fail instead of running in-process when no "
-                             "server is reachable")
-    submit.add_argument("--local-jobs", type=int, default=1, metavar="N",
-                        help="worker processes for the in-process fallback")
-    submit.add_argument("--reconnects", type=int, default=0, metavar="N",
-                        help="on a dropped connection, reconnect and resume "
-                             "by ticket up to N times (jittered backoff)")
-
-    resume = srv_sub.add_parser(
-        "resume", help="re-attach to a submitted ticket: replay settled "
-                       "cells and stream the rest (survives client drops "
-                       "and gateway restarts)"
-    )
-    resume.add_argument("ticket", help="ticket id from a prior submit")
-    resume.add_argument("--quiet", action="store_true",
-                        help="do not stream per-job progress to stderr")
-    resume.add_argument("--reconnects", type=int, default=0, metavar="N",
-                        help="further reconnect attempts while resuming")
-
-    for verb in (submit, resume):
-        verb.add_argument("--host", default=None)
-        verb.add_argument("--port", type=int, default=None)
-        verb.add_argument("--cache-dir", default=None, metavar="DIR")
-
-    for name, help_text in (
-        ("watch", "stream the farm journal until the server shuts down"),
-        ("status", "one-line farm status (queues, workers, cache)"),
-        ("shutdown", "drain the farm gracefully and stop it"),
-    ):
-        verb = srv_sub.add_parser(name, help=help_text)
-        verb.add_argument("--host", default=None)
-        verb.add_argument("--port", type=int, default=None)
-        verb.add_argument("--cache-dir", default=None, metavar="DIR")
-        if name == "shutdown":
-            verb.add_argument("--grace", type=float, default=None,
-                              metavar="SECONDS",
-                              help="override the server's drain window")
-
     prof = sub.add_parser("profile", help="Figure 1/2 trace profiles")
     prof.add_argument("workloads", nargs="+", choices=sorted(SUITE),
                       metavar="workload")
@@ -960,7 +693,6 @@ def main(argv: list[str] | None = None) -> int:
         "bench": cmd_bench,
         "trace": cmd_trace,
         "observe": cmd_observe,
-        "serve": cmd_serve,
     }
     try:
         return handlers[args.command](args)

@@ -98,8 +98,8 @@ def table3() -> Table3Result:
     """Compute Table 3 (the paper's workload suite).
 
     Restricted to :data:`~repro.workloads.PAPER_GROUPS`: adversarial
-    stress workloads live in the registry for the farm's chaos tests
-    but are not part of the paper's 78-benchmark pool.
+    stress workloads live in the registry for robustness tests but are
+    not part of the paper's 78-benchmark pool.
     """
     return Table3Result(
         groups={g: list(SUITE_GROUPS[g]) for g in PAPER_GROUPS}

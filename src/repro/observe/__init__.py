@@ -11,10 +11,7 @@ zero-overhead contract).  This package provides the backends:
   when a run dies;
 * :class:`FaultTripwire` — deterministic mid-run ``raise`` faults
   bridging :mod:`repro.faults` into traced simulations;
-* :func:`run_traced` — the assembled stack around one ``simulate``;
-* :class:`EventStream` / :class:`Subscription` — bounded live pub/sub
-  over journal-style events, the multiplexer behind :mod:`repro.serve`
-  progress streaming (see :mod:`repro.observe.stream`).
+* :func:`run_traced` — the assembled stack around one ``simulate``.
 """
 
 from repro.observe.chrome import ChromeTraceExporter
@@ -25,17 +22,14 @@ from repro.observe.interval import (
     render_report,
 )
 from repro.observe.run import TracedRun, run_traced
-from repro.observe.stream import EventStream, Subscription
 from repro.observe.tracer import HOOKS, MultiTracer, Tracer
 
 __all__ = [
     "ChromeTraceExporter",
     "DEFAULT_INTERVAL",
-    "EventStream",
     "FaultTripwire",
     "FlightRecorder",
     "HOOKS",
-    "Subscription",
     "IntervalMetricsCollector",
     "MultiTracer",
     "Tracer",

@@ -26,9 +26,9 @@ whole store; :meth:`ResultCache.gc` prunes it by age and size.
 Eviction is least-recently-*used*, not least-recently-written: every
 :meth:`ResultCache.get` hit refreshes the entry's atime/mtime with
 ``os.utime`` (filesystems mounted ``noatime``/``relatime`` would
-otherwise never record reads), so a long-lived shared store — e.g. one
-behind a :mod:`repro.serve` gateway — keeps its hot entries and
-:meth:`ResultCache.gc` reclaims the ones nobody has asked for.
+otherwise never record reads), so a long-lived store shared by many
+runs keeps its hot entries and :meth:`ResultCache.gc` reclaims the
+ones nobody has asked for.
 """
 
 from __future__ import annotations
@@ -238,8 +238,7 @@ class ResultCache:
     def stats(self) -> dict:
         """Entry counts and byte totals per store section.
 
-        Returns ``{"results", "traces", "quarantined", "bytes"}`` —
-        cheap enough to answer a serve ``status`` request on every poll.
+        Returns ``{"results", "traces", "quarantined", "bytes"}``.
         """
         report = {"results": 0, "traces": 0, "quarantined": 0, "bytes": 0}
         for section, files in (

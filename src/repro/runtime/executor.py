@@ -14,9 +14,9 @@ only in transport:
   unavailable (Windows).  A crash fault would kill the caller, so
   :class:`~repro.runtime.Runtime` refuses crash faults at ``jobs=1``.
 * :class:`JobLease` — one dedicated single-worker pool running one cell
-  at a time, with heartbeats and :meth:`~JobLease.cancel` /
-  :meth:`~JobLease.reap` hooks.  A dying worker indicts exactly its own
-  cell.  It is the unit the :mod:`repro.serve` scheduler hands out.
+  at a time, with a :meth:`~JobLease.cancel` hook.  A dying worker
+  indicts exactly its own cell, which is why
+  :class:`ParallelExecutor` finishes a broken pool's cells on leases.
 * :class:`ParallelExecutor` — a shared ``ProcessPoolExecutor``
   fan-out, the fast path while no worker dies.  A worker dying
   (segfault, ``os._exit``, OOM kill) breaks the whole pool and blame is
@@ -53,6 +53,7 @@ one-time :class:`RuntimeWarning` makes the degradation visible.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import queue
 import signal
 import threading
@@ -64,7 +65,6 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     as_completed,
-    wait,
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
@@ -211,9 +211,31 @@ def _pool_context():
     return _pool_ctx
 
 
+def _exit_with_owner() -> None:
+    """Pool initializer: end this worker once the pool's owner is gone.
+
+    Forkserver workers are children of the forkserver, not of the
+    process that built the pool, so neither ``getppid()`` nor a
+    parent-death signal sees a SIGKILLed run die; its workers would
+    idle on their call queue forever, and keep the forkserver alive.
+    ``multiprocessing`` hands every child a sentinel on the process
+    that started it, which becomes ready when that process exits; a
+    daemon thread waits on it and exits the worker.
+    """
+    owner = multiprocessing.parent_process()
+
+    def watch() -> None:
+        owner.join()
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-owner-watch",
+                     daemon=True).start()
+
+
 def _make_pool(max_workers: int) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(max_workers=max_workers,
-                               mp_context=_pool_context())
+                               mp_context=_pool_context(),
+                               initializer=_exit_with_owner)
 
 
 def _terminate_workers(pool: ProcessPoolExecutor | None) -> None:
@@ -365,31 +387,18 @@ class JobLease(_FailurePolicy):
     """One leased worker slot: a dedicated single-worker pool running
     one job at a time, with the shared failure policy.
 
-    This is the executor-side unit the :mod:`repro.serve` scheduler
-    hands out — it holds ``workers`` leases and feeds each from its
-    fairness queue — and where :class:`ParallelExecutor` finishes the
-    cells of a broken pool.  Because every lease owns its own
-    single-worker pool, a crashing job breaks only that pool (rebuilt
-    lazily for the next attempt) and blame is never ambiguous the way
-    it is in a shared pool; a neighbouring tenant's cell is
-    untouchable.
+    :class:`ParallelExecutor` finishes the cells of a broken shared
+    pool on leases.  Because every lease owns its own single-worker
+    pool, a crashing job breaks only that pool (rebuilt lazily for the
+    next attempt) and blame is never ambiguous the way it is in a
+    shared pool.
 
     :meth:`run_one` is synchronous and never raises for job failures —
-    it always returns a terminal :class:`JobOutcome` — so callers can
-    drive it from a thread (``asyncio.to_thread``) without an exception
-    escaping the executor.  :meth:`cancel` is the shutdown hook: it
-    kills the in-flight attempt's worker process, which surfaces in
-    :meth:`run_one` as an ``"interrupted"`` outcome (the same status
-    the batch executors use for SIGINT/SIGTERM).  :meth:`reap` is the
-    *watchdog* hook: same worker kill, but without latching the cancel
-    flag, so the cell flows down the ordinary retry/backoff path
-    instead of settling interrupted.
-
-    With ``heartbeat`` set, :meth:`run_one` emits a
-    ``worker_heartbeat`` event every ``heartbeat`` seconds while an
-    attempt is executing — proof of life for the lease itself, and the
-    signal a serve-side watchdog contrasts with wall-clock silence to
-    spot a wedged slot.
+    it always returns a terminal :class:`JobOutcome` — so lease threads
+    never leak an exception out of the executor.  :meth:`cancel` is the
+    interrupt hook: it kills the in-flight attempt's worker process,
+    which surfaces in :meth:`run_one` as an ``"interrupted"`` outcome
+    (the same status the batch executors use for SIGINT/SIGTERM).
     """
 
     def __init__(
@@ -397,15 +406,13 @@ class JobLease(_FailurePolicy):
         retries: int = 1,
         backoff: float = 0.0,
         timeout_factor: float | None = None,
-        heartbeat: float | None = None,
     ) -> None:
         super().__init__(retries=retries, backoff=backoff,
                          timeout_factor=timeout_factor)
-        self.heartbeat = heartbeat if heartbeat and heartbeat > 0 else None
         self._pool: ProcessPoolExecutor | None = None
         self._cancelled = False
-        # Serializes pool creation + submit against reap()/close(), so
-        # a cancel() can never miss the worker of an attempt it races.
+        # Serializes pool creation + submit against cancel()/close(),
+        # so a cancel() can never miss the worker of an attempt it races.
         self._lock = threading.Lock()
 
     def run_one(
@@ -431,8 +438,7 @@ class JobLease(_FailurePolicy):
             self.begin(state, events)
             started = time.monotonic()
             try:
-                result = self._attempt(state, cache_dir, events, fault_spec,
-                                       started)
+                result = self._attempt(state, cache_dir, fault_spec)
             except BrokenProcessPool as exc:
                 self.close()    # dead pool; the next attempt gets a new one
                 if self._cancelled:
@@ -451,9 +457,7 @@ class JobLease(_FailurePolicy):
         self,
         state: _Attempt,
         cache_dir: str | None,
-        events: EventFn,
         fault_spec: str | None,
-        started: float,
     ) -> dict:
         """Submit one attempt to the lease's worker; wait for its envelope."""
         with self._lock:
@@ -464,11 +468,6 @@ class JobLease(_FailurePolicy):
                 self._pool = _make_pool(1)
             future = self._pool.submit(_worker_run, state.job, cache_dir,
                                        state.attempts, fault_spec)
-        while not wait([future], timeout=self.heartbeat).done:
-            events("worker_heartbeat", state.job, {
-                "attempt": state.attempts,
-                "elapsed": round(time.monotonic() - started, 3),
-            })
         return future.result()
 
     def cancel(self) -> None:
@@ -479,20 +478,8 @@ class JobLease(_FailurePolicy):
         the cancel flag latched — reports as ``"interrupted"`` rather
         than retrying.
         """
-        self._cancelled = True
-        self.reap()
-
-    def reap(self) -> None:
-        """Kill the in-flight attempt's worker *without* cancelling.
-
-        The lease-watchdog hook: unlike :meth:`cancel`, the cancel flag
-        stays clear, so :meth:`run_one` observes the resulting
-        ``BrokenProcessPool`` as an ordinary worker death — the attempt
-        is retried on a fresh pool (lazily rebuilt) under the bounded
-        retry/backoff policy, or settles ``"error"`` once attempts are
-        exhausted.  A hang therefore costs the cell, never the slot.
-        """
         with self._lock:
+            self._cancelled = True
             _terminate_workers(self._pool)
 
     def close(self) -> None:
@@ -631,7 +618,7 @@ class ParallelExecutor(_FailurePolicy):
         Each cell continues its attempt count.  Lease threads only run
         attempts; outcomes settle here, on the calling thread.  Ctrl-C
         cancels every lease, which settles running and still-queued
-        cells ``"interrupted"`` the way serve's drain does.
+        cells ``"interrupted"``.
         """
         leases = [
             JobLease(retries=self.retries, backoff=self.backoff,

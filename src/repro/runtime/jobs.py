@@ -115,9 +115,8 @@ def job_from_identity(fields: dict) -> Job:
     """Rebuild a :class:`Job` from a persisted :meth:`Job.identity` dict.
 
     The stored ``salt`` is used verbatim — *not* recomputed from the
-    current source tree — so a job journaled or ticketed by an earlier
-    server process hashes to the same key after a restart, which is the
-    property gateway crash recovery depends on.  When the record also
+    current source tree — so a job journaled by an earlier process
+    hashes to the same key when it is read back.  When the record also
     carries the original ``key`` it is cross-checked; a mismatch means
     the record was hand-edited or torn and raises :class:`ValueError`.
     """
@@ -163,8 +162,7 @@ def make_job(
 # already generated its trace; re-deriving it is the single largest cost
 # of a retry, so the last trace is kept and reused when the next job
 # names the same content.  Capacity is deliberately 1: the memo exists
-# for retries and serve's same-trace lease groups, not as a second
-# trace cache.
+# for retries, not as a second trace cache.
 _TRACE_MEMO: dict = {}
 
 

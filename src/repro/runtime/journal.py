@@ -14,12 +14,12 @@ Durability: every event carries this run's ``run_id`` and, when a path
 is given, is appended to the file as it happens — a crashed or killed
 run leaves a readable prefix (at worst one torn final line, which
 :func:`read_journal` tolerates).  Each event is written with a single
-``os.write`` on an ``O_APPEND`` descriptor, so concurrent writers —
-pool workers, a serve gateway's tenants, a run and its resumed
-successor — sharing one journal file never interleave torn lines the
-way line-buffered stream writes can.  Existing journal files are
-**appended to**, never truncated, so one file can hold the history of a
-crashed run and its resumed successor, distinguishable by ``run_id``.
+``os.write`` on an ``O_APPEND`` descriptor, so writers sharing one
+journal file — concurrent runs, or a run and its resumed successor —
+never interleave torn lines the way line-buffered stream writes can.
+Existing journal files are **appended to**, never truncated, so one
+file can hold the history of a crashed run and its resumed successor,
+distinguishable by ``run_id``.
 
 Event schema (field names are stable; new fields only ever get added):
 
@@ -32,23 +32,14 @@ event                     fields beyond ``event``, ``ts``, ``run_id``
 ``cache_hit``/``miss``    ``key``, ``workload``, ``scheme``
 ``cache_corrupt``         ``key``, ``reason``, ``quarantined`` (path)
 ``job_started``           ``key``, ``workload``, ``scheme``, ``attempt``
+``trace_built``           ``key``, ``workload``, ``scheme``, ``attempt``
+                          (the attempt whose worker generated the trace)
 ``job_finished``          ``key``, ``workload``, ``scheme``, ``status``,
                           ``duration``, ``attempts``, ``error``,
                           ``result`` (payload, ``status == "ok"`` only)
 ``fault_injected``        ``key``, ``fault`` (kind), ``rule``
 ``run_interrupted``       ``completed``, ``interrupted``
 ``run_finished``          the :meth:`RunJournal.summary` counters
-``worker_heartbeat``      ``key``, ``attempt``, ``elapsed`` (lease liveness)
-``lease_reaped``          ``key``, ``silent_s``, ``bound_s`` (watchdog kill)
-``submit_rejected``       ``tenant``, ``ticket``, ``reason``
-                          (``tenant_queue_full`` | ``overloaded``),
-                          ``retry_after`` (overload only)
-``ticket_attached``       ``ticket``, ``tenant``, ``replayed``, ``pending``
-``ticket_revived``        ``ticket``, ``reason``, ``replayed``, ``requeued``
-``ticket_record_corrupt`` ``path`` (torn/invalid ticket record skipped)
-``job_requeued``          ``key``, ``ticket`` (revived cell re-enqueued)
-``gateway_recovered``     ``tickets``, ``requeued``, ``replayed``,
-                          ``corrupt`` (startup crash recovery)
 ========================  ====================================================
 """
 
@@ -73,9 +64,8 @@ class RunJournal:
             omitted.  Lets multiple runs share one journal file and
             still be told apart.
         tap: Called with every recorded event dict, after it is
-            persisted.  This is the multiplexing hook: the serve
-            gateway taps its journal to stream progress events to
-            subscribed clients without a second event pathway.
+            persisted: a way to observe a run's events as they happen
+            without reading the file back.
     """
 
     def __init__(
@@ -165,17 +155,13 @@ class RunJournal:
         return "[repro.runtime] " + ", ".join(parts)
 
 
-def read_journal(path: str | Path, strict: bool = True) -> list[dict]:
+def read_journal(path: str | Path) -> list[dict]:
     """Parse a JSONL journal file back into event dicts.
 
     A crashed run can leave a half-written final line; that torn tail
     is dropped with a :class:`RuntimeWarning` rather than crashing the
     read.  Corruption anywhere *before* the final line is not a normal
-    crash artifact and raises :class:`ValueError` with the line number
-    — unless ``strict=False``, the *recovery* reading mode, where every
-    unparseable line is silently skipped: a gateway rebuilding state
-    after a crash must salvage whatever the journal still holds rather
-    than refuse to start over one bad line.
+    crash artifact and raises :class:`ValueError` with the line number.
     """
     path = Path(path)
     lines = path.read_text().splitlines()
@@ -186,8 +172,6 @@ def read_journal(path: str | Path, strict: bool = True) -> list[dict]:
         try:
             events.append(json.loads(line))
         except ValueError:
-            if not strict:
-                continue
             if lineno == len(lines):
                 warnings.warn(
                     f"journal {path}: dropped torn final line "

@@ -8,8 +8,8 @@ earlier.  Whenever the store is still in flight, the predictor's early
 cache probe reads the stale pre-store value and the commit-time check
 flushes (Figure 1's "in-flight conflict" band, floored).  This is not
 one of the paper's 78 benchmarks; it lives in the suite's
-``adversarial`` group as a stress workload for the serve farm's chaos
-tests and for bounding scheme behaviour under conflict pressure.
+``adversarial`` group as a stress workload for bounding scheme
+behaviour under conflict pressure.
 """
 
 from __future__ import annotations

@@ -197,10 +197,10 @@ _OTHER = [
 ]
 
 # Stress workloads *outside* the paper's pool: adversarial patterns the
-# chaos/robustness tests lean on.  They live in the registry (so the
-# serve farm, caching and goldens cover them) but are excluded from the
-# default `workload_names()` selection — figures, sweeps and Table 3
-# stay the paper's 78 benchmarks, byte for byte.
+# chaos/robustness tests lean on.  They live in the registry (so caching
+# and goldens cover them) but are excluded from the default
+# `workload_names()` selection — figures, sweeps and Table 3 stay the
+# paper's 78 benchmarks, byte for byte.
 _ADVERSARIAL = [
     _spec("storeflood", "adversarial", conflicting_store_flood, 500,
           slots=32, store_rate=0.75, gap_instructions=3),

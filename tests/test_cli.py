@@ -1,7 +1,15 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.__main__ import build_parser, main
 
 
@@ -136,3 +144,66 @@ class TestSweep:
             build_parser().parse_args(
                 ["sweep", "--schemes", "dlvp", "--workloads", "nope"]
             )
+
+
+def _proc_stat(pid: int) -> tuple[str, int] | None:
+    """``(state, ppid)`` of ``pid`` from ``/proc``, or None once gone."""
+    try:
+        text = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    state, ppid = text.rsplit(")", 1)[1].split()[:2]
+    return state, int(ppid)
+
+
+def _children(pid: int) -> list[int]:
+    kids = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            stat = _proc_stat(int(entry))
+            if stat is not None and stat[1] == pid:
+                kids.append(int(entry))
+    return kids
+
+
+def _live(pids: list[int]) -> list[int]:
+    return [pid for pid in pids
+            if (stat := _proc_stat(pid)) is not None and stat[0] != "Z"]
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads the process table from /proc")
+class TestOrphanedWorkers:
+    def test_sigkilled_sweep_leaves_no_live_worker(self):
+        """Pool workers are forkserver children, not the run's: they must
+        still exit once the run that owns them is SIGKILLed."""
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]),
+                   REPRO_FAULT_SPEC="hang@gzip/dlvp")
+        # the hang keeps the sweep running, so both workers exist when
+        # it is killed: one busy in the hung cell, one idle once the
+        # other cells settle
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "sweep", "--jobs", "2",
+             "--schemes", "baseline", "dlvp", "--workloads", "gzip", "nat",
+             "--instructions", "1000", "--no-cache"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        workers: list[int] = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and time.monotonic() < deadline:
+                time.sleep(0.1)
+                workers = [worker for child in _children(proc.pid)
+                           for worker in _children(child)]
+        finally:
+            proc.kill()
+            proc.wait()
+        assert len(workers) == 2, workers
+        deadline = time.monotonic() + 10
+        while _live(workers) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        survivors = _live(workers)
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert survivors == []
